@@ -2,8 +2,9 @@
 
 Covers the Erlang loss and delay formulas (including the real-argument
 extension of Erlang C), full stationary measures of M/M/s, the
-finite-buffer M/M/s/n, and the abandonment model M/M/s+M, the last two
-through a generic birth-death solver.
+finite-buffer M/M/s/n, and the abandonment model M/M/s+M.  Erlang B/C and
+the M/M/s and M/M/s+M laws are closed forms on scipy ufuncs; M/M/s/n goes
+through the generic birth-death solver.
 
 Conventions: ``load`` always means offered load lambda/mu.  ``mean_delay``
 is queueing time only (no service), ``mean_queue`` counts waiting jobs
@@ -97,32 +98,103 @@ class BirthDeathResult(NamedTuple):
     converged: bool
 
 
-def erlang_b(s: int, load: float) -> float:
-    """Blocking probability of the M/M/s/s loss system.
+# Up to this many servers Erlang B comes from the recursion: it is exact to
+# rounding there (tests pin it to 1e-15 at s <= 12), and its O(s) loop
+# costs about as much as the closed form at s = 40.
+_RECURSION_MAX_S = 40
+# The closed form divides by the Poisson cdf; below this value (load >> s)
+# the cdf nears the subnormal range and the recursion takes over.
+_CDF_MIN = 1e-290
 
-    Uses the stable recursion B(0) = 1, B(k) = a B(k-1) / (k + a B(k-1));
-    always well defined since the loss model is stable for every load.
+
+def _poisson_log_pmf_saddle(k, mean):
+    """log P(Pois(mean) = k) for k > 40 in Loader's saddle-point form
+    -stirlerr(k) - bd0(k, mean) - log(2 pi k)/2; ufunc-based, so k may be
+    an array.
+
+    The deviance bd0 = k log(k/mean) - (k - mean) is small near the mode,
+    where k log(mean) - mean - gammaln(k+1) would cancel terms of size
+    k log k (4e-10 relative error at k = 3e5, 2e-9 at 1e6).  Three terms
+    of the Stirling series leave an error below 3e-15 for k > 40.
     """
-    if int(s) != s or s < 1:
-        raise DomainError("erlang_b requires integer s >= 1, got %r" % (s,))
-    if not (load > 0.0):
-        raise DomainError("erlang_b requires load > 0, got %r" % (load,))
+    k2 = k * k
+    stirlerr = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * k2)) / k2) / k
+    bd0 = _sp.xlog1py(k, (k - mean) / mean) - (k - mean)
+    return -stirlerr - bd0 - 0.5 * np.log(2.0 * math.pi * k)
+
+
+def _erlang_b_recursion(s: int, load: float) -> float:
     b = 1.0
-    for k in range(1, int(s) + 1):
+    for k in range(1, s + 1):
         b = load * b / (k + load * b)
     return b
 
 
-def erlang_c(s: int, load: float) -> float:
-    """Probability an arriving job must wait in the M/M/s queue."""
-    if int(s) != s or s < 1:
-        raise DomainError("erlang_c requires integer s >= 1, got %r" % (s,))
+def _erlang_b_scalar(s: int, load: float) -> float:
+    if s > _RECURSION_MAX_S:
+        cdf = float(_sp.pdtr(s, load))
+        if cdf >= _CDF_MIN:
+            return math.exp(float(_poisson_log_pmf_saddle(float(s), load))) / cdf
+    return _erlang_b_recursion(s, load)
+
+
+def _erlang_b_array(s: np.ndarray, load: float) -> np.ndarray:
+    x = s.astype(float).ravel()
+    cdf = _sp.pdtr(x, load)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.exp(_poisson_log_pmf_saddle(x, load)) / cdf
+    for i in np.flatnonzero((x <= _RECURSION_MAX_S) | ~(cdf >= _CDF_MIN)):
+        b[i] = _erlang_b_recursion(int(x[i]), load)
+    return b.reshape(s.shape)
+
+
+def _check_erlang_args(name: str, s, load: float):
+    """Validate the server count(s) and the load; return s as an int or as
+    an integer array."""
     if not (load > 0.0):
-        raise DomainError("erlang_c requires load > 0, got %r" % (load,))
-    if load >= s:
+        raise DomainError("%s requires load > 0, got %r" % (name, load))
+    if not isinstance(s, (np.ndarray, list, tuple)):
+        if int(s) != s or s < 1:
+            raise DomainError("%s requires integer s >= 1, got %r" % (name, s))
+        return int(s)
+    arr = np.asarray(s)
+    if arr.size == 0 or np.any(arr != np.floor(arr)) or np.any(arr < 1):
+        raise DomainError("%s requires integer s >= 1, got %r" % (name, s))
+    return arr.astype(np.int64)
+
+
+def erlang_b(s, load: float):
+    """Blocking probability of the M/M/s/s loss system.
+
+    For s > 40 this is the closed form B = p(s) / F(s), the Poisson(load)
+    pmf over its cdf: p is taken in Loader's saddle-point form and F is
+    ``scipy.special.pdtr``, so a call costs O(1) for any s; it agrees
+    with a 50-digit reference to about 1e-12 relative for s <= 1e6.  For
+    s <= 40, and where F underflows (load >> s), it uses the stable
+    recursion B(0) = 1, B(k) = a B(k-1) / (k + a B(k-1)).
+
+    ``s`` may be an integer array; the result then has its shape.
+    """
+    s = _check_erlang_args("erlang_b", s, load)
+    if isinstance(s, int):
+        return _erlang_b_scalar(s, load)
+    return _erlang_b_array(s, load)
+
+
+def erlang_c(s, load: float):
+    """Probability an arriving job must wait in the M/M/s queue.
+
+    Computed from Erlang B as C = B / (1 - rho (1 - B)), which stays
+    defined when B underflows to 0 (C is then 0.0).  ``s`` may be an
+    integer array, as for :func:`erlang_b`.
+    """
+    s = _check_erlang_args("erlang_c", s, load)
+    scalar = isinstance(s, int)
+    if load >= (s if scalar else s.min()):
         raise InstabilityError("M/M/s unstable: load %r >= s=%r" % (load, s))
+    b = _erlang_b_scalar(s, load) if scalar else _erlang_b_array(s, load)
     rho = load / s
-    return 1.0 / (rho + (1.0 - rho) / erlang_b(s, load))
+    return b / (1.0 - rho * (1.0 - b))
 
 
 def erlang_c_real(s: float, load: float) -> float:
@@ -154,32 +226,38 @@ def erlang_c_real(s: float, load: float) -> float:
 def mms_pi(load: float, s: int, abs_tol: float = 1e-12) -> tuple[np.ndarray, float]:
     """Stationary distribution of M/M/s, truncated with reported tail mass.
 
-    The returned array covers 0..K where K is chosen so the (exactly
-    geometric) remaining mass is below ``abs_tol``; that remainder is
-    returned as the tail mass.
+    States 0..s carry weights load^k / k!; above s the law is geometric
+    with ratio rho = load/s.  The returned array covers 0..s + m, where
+    m is the smallest count that leaves a remaining mass below
+    ``abs_tol``, capped at ``SeriesControl().max_terms`` so that rho near
+    1 cannot exhaust memory.  The exact geometric remainder
+    pi_s rho^(m+1) / (1 - rho) is returned as the tail mass, so
+    ``pi.sum() + tail_mass == 1`` up to rounding, also when the cap binds.
     """
+    if not (load > 0.0):
+        raise DomainError("mms_pi requires load > 0, got %r" % (load,))
     if load >= s:
         raise InstabilityError("M/M/s unstable: load %r >= s=%r" % (load, s))
     rho = load / s
-    # states 0..s in log space, then a geometric tail
     k = np.arange(0, s + 1)
     logw = k * math.log(load) - _sp.gammaln(k + 1)
     # normalization: sum_{k<=s} a^k/k! + a^s/s! * rho/(1-rho)
-    log_tail_total = logw[-1] + math.log(rho / (1.0 - rho)) if rho > 0 else -np.inf
-    log_norm = np.logaddexp(_sp.logsumexp(logw), log_tail_total)
-    # geometric extension until remaining mass < abs_tol
-    extra = int(np.ceil((math.log(abs_tol) + log_norm - logw[-1] + math.log(1.0 - rho))
-                        / math.log(rho))) if rho > 0 else 0
-    extra = max(extra, 1)
-    j = np.arange(1, extra + 1)
-    logq = logw[-1] + j * math.log(rho) if rho > 0 else np.full(1, -np.inf)
+    log_norm = np.logaddexp(_sp.logsumexp(logw), logw[-1] + math.log(rho / (1.0 - rho)))
+    extra = math.ceil((math.log(abs_tol) + log_norm - logw[-1] + math.log(1.0 - rho))
+                      / math.log(rho))
+    extra = min(max(extra, 1), SeriesControl().max_terms)
+    logq = logw[-1] + np.arange(1, extra + 1) * math.log(rho)
     pi = np.exp(np.concatenate([logw, logq]) - log_norm)
-    tail_mass = math.exp(logw[-1] - log_norm) * rho ** (extra + 1) / (1.0 - rho)
+    tail_mass = math.exp(logw[-1] - log_norm + (extra + 1) * math.log(rho)) / (1.0 - rho)
     return pi, tail_mass
 
 
 def mms_measures(model: QueueModel, abs_tol: float = 1e-12) -> StationaryMeasures:
-    """Full steady-state measures of the plain M/M/s queue."""
+    """Full steady-state measures of the plain M/M/s queue.
+
+    The mean queue is the exact C rho / (1 - rho), independent of where
+    ``pi`` is truncated.
+    """
     if model.n is not None or model.theta is not None:
         raise DomainError("mms_measures expects a plain M/M/s model")
     a, s, rho = model.load, int(model.s), model.rho
@@ -187,13 +265,8 @@ def mms_measures(model: QueueModel, abs_tol: float = 1e-12) -> StationaryMeasure
         raise InstabilityError("M/M/s unstable: rho=%r >= 1" % (rho,))
     c = erlang_c(s, a)
     mean_delay = c / ((1.0 - rho) * s * model.mu)
+    mean_queue = c * rho / (1.0 - rho)
     pi, tail = mms_pi(a, s, abs_tol)
-    k = np.arange(len(pi))
-    mean_queue = float(np.sum(np.maximum(k - s, 0) * pi))
-    # the truncated tail is geometric; fold in its exact first moment
-    if rho > 0 and tail > 0:
-        ktail = len(pi) - 1
-        mean_queue += tail * ((ktail - s) + 1.0 / (1.0 - rho))
     return StationaryMeasures(
         delay_prob=c,
         mean_delay=mean_delay,
@@ -313,12 +386,42 @@ def mmsn_measures(model: QueueModel) -> StationaryMeasures:
     )
 
 
+def _erlang_a_log_weights(lam: float, mu: float, theta: float, s: int, n: int) -> np.ndarray:
+    """Log-weights of states 0..n-1 of M/M/s+M, up to a common constant.
+
+    For k <= s the weight is P(Pois(a) = k), a = lam/mu, in Loader's
+    saddle-point form above k = 40.  Beyond s it is
+    w_s lam^j / prod_{i<=j} (s mu + i theta), summed in log space as
+    j log(lam / (s mu)) - sum_{i<=j} log1p(i theta / (s mu)), whose partial
+    sums stay small.  Neither part cancels terms of size a log a, so the
+    weights keep about 1e-13 relative accuracy at s = 1e5.
+    """
+    a = lam / mu
+    k = np.arange(min(n, s + 1), dtype=float)
+    logw = _poisson_log_pmf_saddle(np.maximum(k, _RECURSION_MAX_S + 1.0), a)
+    low = k[:_RECURSION_MAX_S + 1]
+    logw[:len(low)] = _sp.xlogy(low, a) - a - _sp.gammaln(low + 1.0)
+    if n <= s + 1:
+        return logw
+    j = np.arange(1, n - s, dtype=float)
+    sm = s * mu
+    tail = logw[-1] + j * math.log(lam / sm) - np.cumsum(np.log1p(j * (theta / sm)))
+    return np.concatenate([logw, tail])
+
+
 def erlang_a_measures(model: QueueModel, control: SeriesControl | None = None) -> StationaryMeasures:
     """Steady-state measures of the M/M/s+M (abandonment) queue.
 
-    With theta > 0 the chain is stable for every load; the state space is
-    grown until the tail mass is negligible, capped at s + 200 sqrt(s)
-    extra states (the superlinear death rate guarantees fast decay).
+    With theta > 0 the chain is stable for every load.  The log-weights of
+    all states are built in closed form (see ``_erlang_a_log_weights``)
+    and truncated by the stopping rule of :func:`solve_birth_death`: the
+    first state count n >= 11 at which the weight ratio r of the last two
+    states is below 1 and the geometric bound w_(n-1) r / (1 - r) on the
+    remaining mass is below ``control.abs_tol`` times the mass so far.
+    That bound is reported as ``tail_mass`` (a share of the total), so
+    ``pi.sum() + tail_mass == 1``.  ``control.max_terms`` caps the last
+    state; it defaults to s + 200 sqrt(s) + 200 (the superlinear death
+    rate guarantees fast decay).
     """
     if model.theta is None:
         raise DomainError("erlang_a_measures expects an abandonment model")
@@ -330,12 +433,32 @@ def erlang_a_measures(model: QueueModel, control: SeriesControl | None = None) -
     if control is None:
         cap = s + int(math.ceil(200.0 * math.sqrt(s))) + 200
         control = SeriesControl(abs_tol=1e-12, max_terms=cap)
-
-    def death(k: int) -> float:
-        return mu * min(k, s) + theta * max(k - s, 0)
-
-    res = solve_birth_death(lambda k: lam, death, control)
-    pi = res.pi
+    n_max = control.max_terms + 1
+    n = min(n_max, s + 8 * int(math.ceil(math.sqrt(s))) + 64)
+    while True:
+        logw = _erlang_a_log_weights(lam, mu, theta, s, n)
+        w = np.exp(logw - logw.max())
+        with np.errstate(over="ignore", divide="ignore"):
+            ratio = np.exp(np.diff(logw))
+            rem = w[1:] * ratio / (1.0 - ratio)
+        # candidate state counts m = 2..n; the rule applies from m = 11
+        stop = (ratio < 1.0) & (rem < control.abs_tol * np.cumsum(w)[1:])
+        stop[:9] = False
+        hits = np.flatnonzero(stop)
+        if len(hits):
+            m = int(hits[0]) + 2
+            break
+        if n == n_max:
+            if ratio[-1] >= 1.0:
+                raise InstabilityError(
+                    "birth-death normalization diverges (weight ratio %.3f >= 1)" % ratio[-1])
+            raise NumericalError(
+                "birth-death solver did not reach tail tolerance within %d states"
+                % control.max_terms)
+        n = min(n_max, 2 * n)
+    total = w[:m].sum() + rem[m - 2]
+    pi = w[:m] / total
+    tail_mass = rem[m - 2] / total
     k = np.arange(len(pi))
     mean_queue = float(np.sum(np.maximum(k - s, 0) * pi))
     abandon = theta * mean_queue / lam
@@ -348,6 +471,6 @@ def erlang_a_measures(model: QueueModel, control: SeriesControl | None = None) -
         mean_queue=mean_queue,
         utilization=util,
         pi=pi,
-        tail_mass=res.tail_mass,
+        tail_mass=tail_mass,
         abandon_prob=abandon,
     )

@@ -13,9 +13,9 @@ finite-buffer two-fold-scaling limit.
 
 All formulas are evaluated in factored form (a single exp per normal
 density, complements via expm1/log1p) so they stay accurate for beta in
-the whole practical range; in particular there are no 0/0 hazards for
-large beta because the density appears in numerator and denominator
-jointly.
+the whole practical range.  Mills ratios Phi/phi and normal hazards go
+through ``scipy.special.erfcx``, so no formula divides by a density that
+has underflowed: for |beta| up to 60 and beyond, results are finite.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,12 @@ class QedBounds(NamedTuple):
 
 def _phi(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_2PI
+
+
+def _mills(x: float) -> float:
+    """Phi(x) / phi(x) = sqrt(pi/2) erfcx(-x/sqrt(2)), without dividing by
+    an underflowed density; it is inf (not an error) for x > 37.6."""
+    return _SQRT_HALF_PI * float(_sp.erfcx(-x / _SQRT2))
 
 
 def qed_delay_prob(beta: float) -> float:
@@ -115,11 +123,12 @@ def delay_correction_coeff(beta: float) -> float:
     Equals g(beta)^2 [1/3 + beta^2/6 + (Phi/phi)(beta/2 + beta^3/6)] with
     g the limiting delay probability.
     """
-    if not (beta > 0.0):
-        raise DomainError("delay_correction_coeff requires beta > 0, got %r" % (beta,))
-    g = qed_delay_prob(beta)
-    mills = float(_sp.ndtr(beta)) / _phi(beta)
-    return g * g * (1.0 / 3.0 + beta * beta / 6.0 + mills * (beta / 2.0 + beta ** 3 / 6.0))
+    if not (0.0 < beta < math.inf):
+        raise DomainError("delay_correction_coeff requires finite beta > 0, got %r" % (beta,))
+    mills = _mills(beta)
+    g = 1.0 / (1.0 + beta * mills)
+    g_mills = 1.0 / (1.0 / mills + beta)  # g * mills, finite when mills overflows
+    return g * g * (1.0 / 3.0 + beta * beta / 6.0) + g * g_mills * (beta / 2.0 + beta ** 3 / 6.0)
 
 
 def corrected_delay_prob(s: int, lam: float) -> float:
@@ -154,10 +163,10 @@ def qed_bounds(s: int, lam: float) -> QedBounds:
     alpha = math.sqrt(-2.0 * s * (u + math.log1p(-u)))
     gamma_s = u * math.sqrt(s)
     pdf_a = _phi(alpha)
-    mills = float(_sp.ndtr(alpha)) / pdf_a
-    base = mills + (2.0 / 3.0) / math.sqrt(s)
+    base = _mills(alpha) + (2.0 / 3.0) / math.sqrt(s)
     upper = 1.0 / (rho + gamma_s * base)
-    lower = 1.0 / (rho + gamma_s * (base + 1.0 / (pdf_a * (12.0 * s - 1.0))))
+    slack = math.inf if pdf_a == 0.0 else 1.0 / (pdf_a * (12.0 * s - 1.0))
+    lower = 1.0 / (rho + gamma_s * (base + slack))
     return QedBounds(alpha=alpha, gamma_s=gamma_s, lower=lower, upper=upper)
 
 
@@ -199,11 +208,6 @@ class AbandonmentLimits(NamedTuple):
     abandon_coef: float  # limit of sqrt(lam) * P(abandon)
 
 
-def _hazard(x: float) -> float:
-    """phi(x) / Phi(-x), the normal hazard (Mills ratio reciprocal)."""
-    return _phi(x) / float(_sp.ndtr(-x))
-
-
 def erlang_a_qed_limits(beta: float, theta: float) -> AbandonmentLimits:
     """QED limits for the abandonment queue M/M/s+M.
 
@@ -213,10 +217,15 @@ def erlang_a_qed_limits(beta: float, theta: float) -> AbandonmentLimits:
     """
     if not (theta > 0.0):
         raise DomainError("erlang_a_qed_limits requires theta > 0, got %r" % (theta,))
+    if not math.isfinite(beta):
+        raise DomainError("erlang_a_qed_limits requires finite beta, got %r" % (beta,))
     rt = math.sqrt(theta)
-    ratio = rt * _hazard(beta / rt) / _hazard(-beta)
-    delay = 1.0 / (1.0 + ratio)
-    abandon = (rt * _hazard(beta / rt) - beta) * delay
+    # sqrt(theta) h(beta/sqrt(theta)) with the normal hazard h(x) = 1/mills(-x);
+    # 1/h(-beta) = mills(beta).  Both ratios stay finite or go to 0 / inf
+    # without a division by an underflowed density.
+    hazard = rt / _mills(-beta / rt)
+    delay = 1.0 / (1.0 + hazard * _mills(beta))
+    abandon = (hazard - beta) * delay
     return AbandonmentLimits(delay_prob=delay, abandon_coef=abandon)
 
 

@@ -10,9 +10,13 @@ or below the load, the count is bumped to the smallest stable integer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal, Optional
+
+import numpy as np
+from scipy import optimize as _opt
 
 from .errors import DomainError, InstabilityError
 from .exact import erlang_c, erlang_c_real
@@ -73,8 +77,14 @@ def _ceil_guard(x: float) -> int:
     return int(math.ceil(x - 1e-9))
 
 
+@functools.lru_cache(maxsize=256)
 def beta_for_delay_target(epsilon: float) -> float:
-    """Solve qed_delay_prob(beta) = epsilon (strictly decreasing in beta)."""
+    """Solve qed_delay_prob(beta) = epsilon (strictly decreasing in beta).
+
+    Brent's method on a bracket doubled until it holds the root; results
+    are cached per epsilon, since schedules solve the same target for
+    every cell.
+    """
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must be in (0,1), got %r" % (epsilon,))
     lo, hi = 0.0, 1.0
@@ -83,17 +93,10 @@ def beta_for_delay_target(epsilon: float) -> float:
         hi *= 2.0
         if hi > 1e6:
             raise DomainError("no beta matches epsilon=%r" % (epsilon,))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if qed_delay_prob(mid) > epsilon:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    # g(0+) = 1 > epsilon, so the smallest positive float brackets from below
+    lo = max(lo, math.ulp(0.0))
+    return _opt.brentq(lambda b: qed_delay_prob(b) - epsilon, lo, hi,
+                       xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
 
 
 def staff_exact(lam: float, epsilon: float) -> StaffingSolution:
@@ -127,13 +130,16 @@ def staff_qed(lam: float, epsilon: float) -> StaffingSolution:
                             predicted=epsilon, achieved=erlang_c(s, lam))
 
 
-def staffing_cost(s: int, lam: float, r: float) -> float:
-    """Normalized cost r (s - lam) + lam E[delay]; E[delay] via Erlang C."""
+def staffing_cost(s, lam: float, r: float):
+    """Normalized cost r (s - lam) + lam E[delay]; E[delay] via Erlang C.
+
+    ``s`` may be an integer array; the result then has its shape.
+    """
     if not (r > 0.0):
         raise DomainError("cost ratio must be positive, got %r" % (r,))
-    if not (s > lam):
+    if not np.all(s > lam):
         raise InstabilityError("cost defined only for s > lam")
-    return r * (s - lam) + lam * erlang_c(int(s), lam) / (s - lam)
+    return r * (s - lam) + lam * erlang_c(s, lam) / (s - lam)
 
 
 def staffing_cost_real(s: float, lam: float, r: float) -> float:
@@ -247,14 +253,8 @@ def cost_refined(lam: float, r: float) -> StaffingSolution:
 
 def cost_exhaustive(lam: float, r: float) -> int:
     """Integer cost minimizer by scan over (lam, lam + 10 sqrt(lam) + 10]."""
-    lo = _min_stable(lam)
-    hi = int(math.ceil(lam + 10.0 * math.sqrt(lam) + 10.0))
-    best_s, best_k = lo, staffing_cost(lo, lam, r)
-    for s in range(lo + 1, hi + 1):
-        k = staffing_cost(s, lam, r)
-        if k < best_k:
-            best_s, best_k = s, k
-    return best_s
+    s = np.arange(_min_stable(lam), int(math.ceil(lam + 10.0 * math.sqrt(lam) + 10.0)) + 1)
+    return int(s[np.argmin(staffing_cost(s, lam, r))])
 
 
 def staff_uncertain(lam_hat: float, sigma: float, epsilon: float) -> int:

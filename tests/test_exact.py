@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from qedq import (
     DomainError,
     InstabilityError,
+    NumericalError,
     QueueModel,
     SeriesControl,
     erlang_a_measures,
@@ -58,6 +61,68 @@ def test_erlang_bc_identity_grid():
         b = erlang_b(s, a)
         rho = a / s
         assert erlang_c(s, a) == pytest.approx(1.0 / (rho + (1 - rho) / b), abs=1e-12)
+
+
+def _load_for(s, beta):
+    """Offered load a with s = a + beta sqrt(a)."""
+    return ((-beta + math.sqrt(beta * beta + 4.0 * s)) / 2.0) ** 2
+
+
+def _erlang_b_mp(s, a):
+    """Erlang B as Poisson pmf over cdf, at 50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(a)
+        pmf = mpmath.exp(s * mpmath.log(a) - a - mpmath.loggamma(s + 1))
+        return pmf / mpmath.gammainc(s + 1, a, mpmath.inf, regularized=True)
+
+
+@pytest.mark.parametrize("s", [41, 10**2, 10**3, 10**4, 10**5, 10**6])
+@pytest.mark.parametrize("beta", [-3.0, -1.0, 0.3, 1.0, 4.0, 8.0])
+def test_erlang_bc_closed_form_vs_mpmath(s, beta):
+    a = _load_for(s, beta)
+    b_ref = _erlang_b_mp(s, a)
+    assert erlang_b(s, a) == pytest.approx(float(b_ref), rel=1e-11)
+    if a < s:
+        rho = mpmath.mpf(a) / s
+        c_ref = b_ref / (1 - rho * (1 - b_ref))
+        assert erlang_c(s, a) == pytest.approx(float(c_ref), rel=1e-11)
+
+
+@pytest.mark.parametrize("a", [5.0, 30.0, 38.5, 60.0, 400.0])
+def test_erlang_b_continuous_across_recursion_switch(a):
+    # s = 40 is the last recursion value, s = 41 the first closed-form one;
+    # one more recursion step from B(40) must land on the closed form
+    b40 = erlang_b(40, a)
+    assert erlang_b(41, a) == pytest.approx(a * b40 / (41 + a * b40), rel=1e-13)
+    assert erlang_b(41, a) == pytest.approx(float(_erlang_b_mp(41, a)), rel=1e-13)
+
+
+def test_erlang_b_large_load_falls_back_to_recursion():
+    # the Poisson cdf underflows for load >> s; B tends to 1 - s/load
+    b = erlang_b(50, 2000.0)
+    assert b == pytest.approx(float(_erlang_b_mp(50, 2000.0)), rel=1e-13)
+
+
+def test_erlang_bc_accept_arrays():
+    s = np.arange(2, 160)
+    a = 37.25
+    b = erlang_b(s, a)
+    assert b.shape == s.shape
+    # vectorized exp/log may differ from the scalar ones in the last ulps
+    assert b == pytest.approx([erlang_b(int(k), a) for k in s], rel=1e-14)
+    c = erlang_c(s[s > a], a)
+    assert c == pytest.approx([erlang_c(int(k), a) for k in s[s > a]], rel=1e-14)
+    assert erlang_b(np.array([[50, 60]]), 2000.0).shape == (1, 2)
+    with pytest.raises(DomainError):
+        erlang_b(np.array([3, 4.5]), 1.0)
+    with pytest.raises(InstabilityError):
+        erlang_c(np.array([40, 30]), 37.25)
+
+
+def test_erlang_c_underflowed_blocking():
+    # B(1000, 1) underflows to 0; C must follow it instead of dividing by it
+    assert erlang_b(1000, 1.0) == 0.0
+    assert erlang_c(1000, 1.0) == 0.0
 
 
 def test_erlang_c_instability():
@@ -125,6 +190,23 @@ def test_mms_littles_law():
         m = mms_measures(QueueModel(lam=lam, s=s))
         assert m.mean_queue == pytest.approx(lam * m.mean_delay, abs=1e-9)
         assert m.pi.sum() + m.tail_mass == pytest.approx(1.0, abs=1e-10)
+
+
+def test_mms_near_saturation_is_capped():
+    # rho = 1 - 1e-9 would need ~2.8e10 geometric states at abs_tol 1e-12
+    model = QueueModel(lam=100.0 * (1.0 - 1e-9), s=100)
+    tracemalloc.start()
+    try:
+        m = mms_measures(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert len(m.pi) == 101 + SeriesControl().max_terms
+    assert m.pi.sum() + m.tail_mass == pytest.approx(1.0, abs=1e-12)
+    rho = model.rho
+    assert m.mean_queue == pytest.approx(
+        erlang_c(100, model.load) * rho / (1.0 - rho), rel=1e-14)
 
 
 def test_mms_requires_stability():
@@ -217,6 +299,35 @@ def test_erlang_a_littles_law():
         m = erlang_a_measures(QueueModel(lam=lam, s=s, theta=th))
         assert m.mean_queue == pytest.approx(lam * m.mean_delay, abs=1e-9)
         assert m.pi.sum() + m.tail_mass == pytest.approx(1.0, abs=1e-10)
+
+
+def _erlang_a_reference(lam, s, theta, control):
+    """The generic callable birth-death path for M/M/s+M."""
+    return solve_birth_death(lambda k: lam, lambda k: min(k, s) + theta * max(k - s, 0),
+                             control)
+
+
+@pytest.mark.parametrize("lam,s,theta", [(1.0, 2, 1.0), (3.2, 4, 1e-9), (50.0, 55, 0.3),
+                                         (100.0, 90, 5.0), (10.0, 1000, 1.0),
+                                         (1000.0, 1030, 1.0)])
+def test_erlang_a_matches_birth_death_solver(lam, s, theta):
+    cap = s + int(math.ceil(200.0 * math.sqrt(s))) + 200
+    control = SeriesControl(abs_tol=1e-12, max_terms=cap)
+    ref = _erlang_a_reference(lam, s, theta, control)
+    m = erlang_a_measures(QueueModel(lam=lam, s=s, theta=theta))
+    assert len(m.pi) == len(ref.pi)
+    assert np.max(np.abs(m.pi - ref.pi)) < 1e-12
+    assert m.tail_mass == pytest.approx(ref.tail_mass, rel=1e-6)
+    assert m.pi.sum() + m.tail_mass == pytest.approx(1.0, abs=1e-12)
+
+
+def test_erlang_a_state_budget_exhausted():
+    # too few states for the stopping rule: both paths report non-convergence
+    control = SeriesControl(abs_tol=1e-12, max_terms=5)
+    with pytest.raises(NumericalError):
+        _erlang_a_reference(1.0, 2, 1.0, control)
+    with pytest.raises(NumericalError):
+        erlang_a_measures(QueueModel(lam=1.0, s=2, theta=1.0), control)
 
 
 def test_erlang_a_unstable_without_abandonment():

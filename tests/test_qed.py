@@ -8,7 +8,9 @@ from qedq import (
     DomainError,
     InstabilityError,
     QedPoint,
+    QedqError,
     corrected_delay_prob,
+    delay_correction_coeff,
     erlang_a_qed_limits,
     erlang_c,
     finite_buffer_delay_limit,
@@ -184,6 +186,29 @@ def test_erlang_a_qed_limits():
     # abandonment coefficient stays nonnegative on the tested range
     for b in np.linspace(-2.0, 3.0, 60):
         assert erlang_a_qed_limits(b, 0.7).abandon_coef >= -1e-12
+
+
+def _finite_or_qedq_error(f, *args):
+    try:
+        values = f(*args)
+    except QedqError:
+        return True
+    return all(math.isfinite(v) for v in np.atleast_1d(values))
+
+
+def test_mills_ratios_finite_for_extreme_beta():
+    for beta in np.linspace(-60.0, 60.0, 241):
+        assert _finite_or_qedq_error(delay_correction_coeff, float(beta))
+        for theta in (0.01, 1.0, 100.0):
+            assert _finite_or_qedq_error(erlang_a_qed_limits, float(beta), theta)
+    assert delay_correction_coeff(40.0) == 0.0
+    for beta in (math.inf, -math.inf, math.nan):
+        assert _finite_or_qedq_error(delay_correction_coeff, beta)
+        assert _finite_or_qedq_error(erlang_a_qed_limits, beta, 1.0)
+    lim = erlang_a_qed_limits(-40.0, 1.0)
+    assert lim.delay_prob == 1.0 and lim.abandon_coef == pytest.approx(40.0, rel=1e-12)
+    b = qed_bounds(1000, 1.0)  # alpha ~ 109: the normal density underflows
+    assert b.lower == 0.0 and b.upper == 0.0
 
 
 def test_finite_buffer_delay_limit():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -52,6 +53,15 @@ def test_beta_for_delay_target():
         beta_for_delay_target(1.0)
 
 
+@pytest.mark.parametrize("eps", [1e-300, 1e-12, 0.01, 0.2, 0.5, 0.9, 1.0 - 1e-9])
+def test_beta_for_delay_target_vs_mpmath(eps):
+    with mpmath.workdps(40):
+        g = lambda b: mpmath.npdf(b) / (mpmath.npdf(b) + b * mpmath.ncdf(b)) - eps
+        ref = float(mpmath.findroot(g, beta_for_delay_target(eps)))
+    assert beta_for_delay_target(eps) == pytest.approx(ref, abs=1e-12)
+    assert beta_for_delay_target(eps) == beta_for_delay_target(eps)
+
+
 def test_staff_qed_examples():
     assert staff_qed(100.0, qed_delay_prob(1.0)).s == 110
     assert staff_qed(100.0, 0.5).s == math.ceil(100.0 + beta_for_delay_target(0.5) * 10.0)
@@ -81,6 +91,19 @@ def test_cost_consistency_with_mean_delay():
         r * (s - lam) + lam * m.mean_delay, rel=1e-12)
     with pytest.raises(InstabilityError):
         staffing_cost(100, 100.0, 1.0)
+
+
+def test_staffing_cost_underflowed_delay():
+    assert staffing_cost(1000, 1.0, 1.0) == 999.0
+
+
+@pytest.mark.parametrize("lam", [0.4, 10.0, 37.7, 100.0, 512.3])
+@pytest.mark.parametrize("r", [0.05, 1.0, 10.0])
+def test_cost_exhaustive_matches_scalar_scan(lam, r):
+    lo = int(math.floor(lam)) + 1
+    hi = int(math.ceil(lam + 10.0 * math.sqrt(lam) + 10.0))
+    costs = [staffing_cost(s, lam, r) for s in range(lo, hi + 1)]
+    assert cost_exhaustive(lam, r) == lo + costs.index(min(costs))
 
 
 def test_cost_unimodal_in_s():
