@@ -24,7 +24,7 @@ CASES = [
     ("M/M/12/16, load 10", QueueModel(lam=10.0, s=12, n=16), mmsn_measures,
      ["delay_prob", "block_prob"]),
     ("M/M/2+M, load 1, patience 1", QueueModel(lam=1.0, s=2, theta=1.0),
-     erlang_a_measures, ["delay_prob", "abandon_prob"]),
+     erlang_a_measures, ["delay_prob", "abandon_prob", "mean_delay"]),
 ]
 
 for title, model, measure_fn, metrics in CASES:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import DomainError, NumericalError
-from .special import SeriesControl, zeta_half
+from .special import SeriesControl, poisson_tail, zeta_half
 
 __all__ = [
     "BulkModel",
@@ -86,15 +86,10 @@ def pois_plus_stats(mean: float, c: int) -> PoissonPlus:
     """Upper tail and mean positive excess of Pois(mean) over level c.
 
     E[(N - c)^+] = mean P(N >= c) - c P(N >= c + 1), with the tails from
-    the regularized incomplete gamma function.
+    :func:`poisson_tail`.
     """
-    if not (mean > 0.0):
-        raise DomainError("pois_plus_stats requires mean > 0, got %r" % (mean,))
-    if c < 0:
-        raise DomainError("pois_plus_stats requires c >= 0, got %r" % (c,))
-    p_geq = 1.0 if c == 0 else float(_sp.gammainc(c, mean))
-    p_gt = float(_sp.gammainc(c + 1, mean))
-    return PoissonPlus(p_gt=p_gt, plus_mean=mean * p_geq - c * p_gt)
+    tail = poisson_tail(mean, c)
+    return PoissonPlus(p_gt=tail.p_gt, plus_mean=mean * tail.p_geq - c * tail.p_gt)
 
 
 def bulk_stationary(model: BulkModel) -> BulkStationary:

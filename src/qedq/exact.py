@@ -8,8 +8,10 @@ through the generic birth-death solver.
 
 Conventions: ``load`` always means offered load lambda/mu.  ``mean_delay``
 is queueing time only (no service), ``mean_queue`` counts waiting jobs
-only.  For models with losses or abandonment, Little's law links the two
-through the rate of jobs that eventually start service.
+only.  Little's law links the two through the rate of admitted jobs,
+which excludes blocked arrivals under a finite buffer.  Under
+abandonment every arrival is admitted and an abandoning job counts with
+its time in queue until it leaves, so ``mean_delay = mean_queue / lambda``.
 """
 
 from __future__ import annotations
@@ -420,8 +422,10 @@ def erlang_a_measures(model: QueueModel, control: SeriesControl | None = None) -
     remaining mass is below ``control.abs_tol`` times the mass so far.
     That bound is reported as ``tail_mass`` (a share of the total), so
     ``pi.sum() + tail_mass == 1``.  ``control.max_terms`` caps the last
-    state; it defaults to s + 200 sqrt(s) + 200 (the superlinear death
-    rate guarantees fast decay).
+    state; it defaults to m + 200 sqrt(m) + 200, where m = s + (lambda -
+    s mu)^+ / theta is the mode (the superlinear death rate guarantees
+    fast decay beyond it).  A mode above 1e7 states raises
+    ``NumericalError`` instead of exhausting memory.
     """
     if model.theta is None:
         raise DomainError("erlang_a_measures expects an abandonment model")
@@ -431,7 +435,12 @@ def erlang_a_measures(model: QueueModel, control: SeriesControl | None = None) -
             raise InstabilityError("theta=0 and rho >= 1: no stationary regime")
         return mms_measures(QueueModel(lam=lam, s=s, mu=mu))
     if control is None:
-        cap = s + int(math.ceil(200.0 * math.sqrt(s))) + 200
+        mode = s + max(lam - s * mu, 0.0) / theta
+        if mode > 1e7:
+            raise NumericalError("M/M/s+M mode at %.3g states exceeds the 1e7-state budget"
+                                 % mode)
+        mode = int(math.ceil(mode))
+        cap = mode + int(math.ceil(200.0 * math.sqrt(mode))) + 200
         control = SeriesControl(abs_tol=1e-12, max_terms=cap)
     n_max = control.max_terms + 1
     n = min(n_max, s + 8 * int(math.ceil(math.sqrt(s))) + 64)

@@ -1,10 +1,15 @@
 """Stochastic validation engine.
 
-Discrete-event simulation of the Markovian queue family (M/M/s, finite
-buffer, abandonment, nonhomogeneous arrivals with a time-varying number
-of servers), the bulk-service recursion, and Euler-Maruyama integration
-of the piecewise-linear diffusion limits.  Every analytic quantity in the
+Discrete-event simulation of the Markovian queue family, the
+bulk-service recursion, and Euler-Maruyama integration of the
+piecewise-linear diffusion limits.  Every analytic quantity in the
 package has a counterpart estimator here.
+
+One event engine (``_event_rep``) runs the whole Markovian family: M/M/s,
+finite buffer, abandonment, and nonhomogeneous arrivals with a
+time-varying number of servers.  A constant-parameter model is the
+one-cell schedule with level s; models differ only in their arrival
+epochs and time-0 occupancy.
 
 Randomness: counter-based Philox streams keyed by (seed, replication,
 purpose), so arrival/service/patience draws are mutually independent and
@@ -210,167 +215,58 @@ def _homogeneous_arrivals(lam: float, horizon: float,
     return np.sort(rng.uniform(0.0, horizon, n))
 
 
-def _markov_rep(model: QueueModel, horizon: float, warmup: float,
-                seed: int, rep: int,
-                initial: Optional[int] = None,
-                record: Optional[list] = None) -> dict:
-    """One replication of the constant-parameter Markovian queue family."""
-    rng_a = _stream(seed, rep, _ARRIVAL)
-    rng_s = _stream(seed, rep, _SERVICE)
-    rng_p = _stream(seed, rep, _PATIENCE)
-    lam, mu, s = model.lam, model.mu, int(model.s)
-    theta = model.theta or 0.0
-    nbuf = model.n
+def _event_rep(arrivals: np.ndarray, mu: float, theta: float, nbuf: Optional[int],
+               grid, levels, n0: int,
+               rng_s: np.random.Generator, rng_p: np.random.Generator,
+               horizon: float, warmup: float,
+               bins: Optional[tuple] = None, record: Optional[list] = None) -> dict:
+    """One replication of the Markovian queue family, event by event.
 
-    arrivals = _homogeneous_arrivals(lam, horizon, rng_a)
-    n_arr_total = len(arrivals)
+    Jobs arrive at the epochs ``arrivals``, need exponential(``mu``)
+    service and abandon the queue at rate ``theta`` (0: never); with
+    ``nbuf`` set, an arrival that finds ``nbuf`` jobs present is blocked.
+    ``levels[i]`` servers work on [grid[i], grid[i+1]), the last cell
+    open-ended.  Late switching: a server removed by the schedule finishes
+    its job in progress; added servers pull from the queue immediately.
+    ``n0`` jobs are present at time 0.
 
-    busy = 0
-    queue: deque = deque()
-    if initial:
-        busy = min(initial, s)
-        for _ in range(initial - busy):
-            queue.append(0.0)
+    ``mean_delay`` averages the time in queue over every admitted job
+    that left the queue, so an abandoning job counts with its wait until
+    abandonment (the Little's-law definition mean_queue / lambda).
+    ``bins = (edges, delayed, arrivals)`` adds per-bin counts of arrival
+    epochs; ``record`` receives (time, occupancy, servers) after each event.
+    """
+    nlev = len(levels)
+    gi = int(np.searchsorted(grid, 0.0, side="right")) - 1
+    s = int(levels[max(gi, 0)])
+    t_bound = grid[gi + 1] if gi + 1 < nlev else math.inf
+    busy = min(n0, s)
+    queue: deque = deque([0.0] * (n0 - busy))
+    n_arr = len(arrivals)
     t = 0.0
     ai = 0
     arrivals_seen = delayed = blocked = abandoned = served = 0
     wait_sum = 0.0
     area_queue = area_empty = area_above = 0.0
+    if bins is not None:
+        edges, bin_delayed, bin_arrivals = bins
     if record is not None:
-        record.append((0.0, busy + len(queue)))
+        record.append((0.0, n0, s))
 
     while True:
         q = len(queue)
-        rate_dep = mu * busy
-        rate_ab = theta * q
-        t_dep = t + rng_s.exponential(1.0 / rate_dep) if rate_dep > 0.0 else math.inf
-        t_ab = t + rng_p.exponential(1.0 / rate_ab) if rate_ab > 0.0 else math.inf
-        t_arr = arrivals[ai] if ai < n_arr_total else math.inf
-        t_next = min(t_arr, t_dep, t_ab, horizon)
+        t_dep = t + rng_s.exponential(1.0 / (mu * busy)) if busy > 0 else math.inf
+        t_ab = t + rng_p.exponential(1.0 / (theta * q)) if theta * q > 0.0 else math.inf
+        t_arr = arrivals[ai] if ai < n_arr else math.inf
+        t_next = min(t_arr, t_dep, t_ab, t_bound, horizon)
         if t_next > warmup:
             dt = t_next - max(t, warmup)
             if dt > 0.0:
                 area_queue += q * dt
-                if busy == 0 and q == 0:
-                    area_empty += dt
                 if q > 0:
                     area_above += dt
-        t = t_next
-        if t >= horizon:
-            break
-        if t_next == t_arr:
-            post = t > warmup
-            if nbuf is not None and busy + q >= nbuf:
-                if post:
-                    arrivals_seen += 1
-                    blocked += 1
-            else:
-                if post:
-                    arrivals_seen += 1
-                if busy < s:
-                    busy += 1
-                    if post:
-                        served += 1
-                else:
-                    queue.append(t)
-                    if post:
-                        delayed += 1
-            ai += 1
-        elif t_next == t_dep:
-            busy -= 1
-            if queue and busy < s:
-                at = queue.popleft()
-                busy += 1
-                if at > warmup:
-                    wait_sum += t - at
-                    served += 1
-        else:
-            i = int(rng_p.integers(len(queue)))
-            at = queue[i]
-            del queue[i]
-            if at > warmup:
-                abandoned += 1
-        if record is not None:
-            record.append((t, busy + len(queue)))
-
-    span = horizon - warmup
-    admitted = max(arrivals_seen - blocked, 1)
-    return {
-        "delay_prob": delayed / admitted,
-        "mean_delay": wait_sum / max(served, 1),
-        "p_empty": area_empty / span,
-        "mean_queue": area_queue / span,
-        "frac_above_zero": area_above / span,
-        "abandon_prob": abandoned / admitted,
-        "block_prob": blocked / max(arrivals_seen, 1),
-    }
-
-
-def _mt_initial_load(model: TimeVaryingModel) -> float:
-    if model.initial_load is not None:
-        return model.initial_load
-    if model.rate.supports_past:
-        return model.rate.stationary_offered_load(model.mu)
-    return float(model.rate.rate(0.0)) / model.mu
-
-
-def _mt_rep(model: TimeVaryingModel, horizon: float, warmup: float,
-            seed: int, rep: int,
-            bins: Optional[np.ndarray] = None,
-            bin_delayed: Optional[np.ndarray] = None,
-            bin_arrivals: Optional[np.ndarray] = None,
-            record: Optional[list] = None,
-            record_levels: Optional[list] = None) -> dict:
-    """One replication with nonhomogeneous arrivals and a staffing schedule.
-
-    Late switching: a server removed by the schedule finishes its job in
-    progress; added servers pull from the queue immediately.  The time-0
-    occupancy is drawn from the stationary M/M/s(0) law at the model's
-    initial offered load, so a warm-up of one service time suffices.
-    """
-    rng_a = _stream(seed, rep, _ARRIVAL)
-    rng_s = _stream(seed, rep, _SERVICE)
-    rng_i = _stream(seed, rep, _INIT)
-    sched = model.schedule
-    mu = model.mu
-    grid = sched.grid
-    levels = sched.levels
-    nlev = len(levels)
-
-    arrivals = _homogeneous_arrivals(model.rate.level, horizon, rng_a) \
-        if hasattr(model.rate, "level") else nhpp_arrivals(model.rate, horizon, rng_a)
-    n_arr = len(arrivals)
-
-    s0 = int(levels[0])
-    a0 = _mt_initial_load(model)
-    if a0 >= s0:
-        a0 = 0.99 * s0
-    pi0, _ = mms_pi(max(a0, 1e-9), s0)
-    n_init = int(np.searchsorted(np.cumsum(pi0), rng_i.uniform()))
-    busy = min(n_init, s0)
-    queue: deque = deque([0.0] * (n_init - busy))
-
-    t = 0.0
-    ai = 0
-    gi = int(np.searchsorted(grid, 0.0, side="right")) - 1
-    arrivals_seen = delayed = served = 0
-    wait_sum = 0.0
-    area_queue = 0.0
-    if record is not None:
-        record.append((0.0, busy + len(queue)))
-        record_levels.append(s0)
-
-    while True:
-        q = len(queue)
-        s_now = int(levels[min(max(gi, 0), nlev - 1)])
-        t_bound = grid[gi + 1] if gi + 1 < nlev else math.inf
-        t_dep = t + rng_s.exponential(1.0 / (mu * busy)) if busy > 0 else math.inf
-        t_arr = arrivals[ai] if ai < n_arr else math.inf
-        t_next = min(t_arr, t_dep, t_bound, horizon)
-        if t_next > warmup:
-            dt = t_next - max(t, warmup)
-            if dt > 0.0:
-                area_queue += q * dt
+                elif busy == 0:
+                    area_empty += dt
         t = t_next
         if t >= horizon:
             break
@@ -379,10 +275,13 @@ def _mt_rep(model: TimeVaryingModel, horizon: float, warmup: float,
             if post:
                 arrivals_seen += 1
             if bins is not None:
-                b = min(int(np.searchsorted(bins, t, side="right")) - 1, len(bin_arrivals) - 1)
+                b = min(int(np.searchsorted(edges, t, side="right")) - 1, len(bin_arrivals) - 1)
                 if b >= 0:
                     bin_arrivals[b] += 1
-            if busy < s_now and not queue:
+            if nbuf is not None and busy + q >= nbuf:
+                if post:
+                    blocked += 1
+            elif busy < s:
                 busy += 1
                 if post:
                     served += 1
@@ -395,44 +294,101 @@ def _mt_rep(model: TimeVaryingModel, horizon: float, warmup: float,
             ai += 1
         elif t_next == t_dep:
             busy -= 1
-            if queue and busy < s_now:
+            if queue and busy < s:
                 at = queue.popleft()
                 busy += 1
                 if at > warmup:
                     wait_sum += t - at
                     served += 1
-        else:
+        elif t_next == t_ab:
+            i = int(rng_p.integers(len(queue)))
+            at = queue[i]
+            del queue[i]
+            if at > warmup:
+                wait_sum += t - at
+                abandoned += 1
+        else:  # schedule boundary
             gi += 1
-            s_now = int(levels[min(gi, nlev - 1)])
-            while queue and busy < s_now:
+            s = int(levels[gi])
+            t_bound = grid[gi + 1] if gi + 1 < nlev else math.inf
+            while queue and busy < s:
                 at = queue.popleft()
                 busy += 1
                 if at > warmup:
                     wait_sum += t - at
                     served += 1
         if record is not None:
-            record.append((t, busy + len(queue)))
-            record_levels.append(s_now)
+            record.append((t, busy + len(queue), s))
 
     span = horizon - warmup
     return {
-        "delay_prob": delayed / max(arrivals_seen, 1),
-        "mean_delay": wait_sum / max(served, 1),
+        "delay_prob": delayed / max(arrivals_seen - blocked, 1),
+        "mean_delay": wait_sum / max(served + abandoned, 1),
+        "p_empty": area_empty / span,
         "mean_queue": area_queue / span,
+        "frac_above_zero": area_above / span,
+        "abandon_prob": abandoned / max(arrivals_seen - blocked, 1),
+        "block_prob": blocked / max(arrivals_seen, 1),
     }
 
 
-def _bulk_rep(model: BulkModel, periods: int, warmup: int,
-              seed: int, rep: int) -> dict:
-    """Reflected-walk recursion over whole periods, vectorized via the
-    running-minimum representation of the reflection map."""
+def _mt_initial_cdf(model: TimeVaryingModel) -> np.ndarray:
+    """Cdf of the time-0 occupancy: the stationary M/M/s(0) law at the
+    model's initial offered load, so a warm-up of one service time
+    suffices.  A load at or above s(0) has no such law and is replaced by
+    0.99 s(0), with a warning."""
+    s0 = model.schedule.level_at(0.0)
+    if model.initial_load is not None:
+        a0 = model.initial_load
+    elif model.rate.supports_past:
+        a0 = model.rate.stationary_offered_load(model.mu)
+    else:
+        a0 = float(model.rate.rate(0.0)) / model.mu
+    if a0 >= s0:
+        warnings.warn("initial offered load %.6g >= s(0) = %d has no stationary law; "
+                      "the time-0 occupancy is drawn at load %.6g instead"
+                      % (a0, s0, 0.99 * s0))
+        a0 = 0.99 * s0
+    pi0, _ = mms_pi(max(a0, 1e-9), s0)
+    return np.cumsum(pi0)
+
+
+def _event_reps(model: Union[QueueModel, TimeVaryingModel], horizon: float,
+                warmup: float, seed: int, replications: int,
+                initial: Optional[int] = None,
+                bins: Optional[tuple] = None, record: Optional[list] = None) -> list:
+    """Replications 0..replications-1 of a QueueModel or TimeVaryingModel.
+
+    ``initial`` is the time-0 occupancy; by default a QueueModel starts
+    empty and a TimeVaryingModel draws it from ``_mt_initial_cdf``.
+    """
+    if isinstance(model, QueueModel):
+        theta, nbuf, lam = model.theta or 0.0, model.n, model.lam
+        grid, levels = [0.0], [int(model.s)]
+        initial = initial or 0
+    else:
+        theta, nbuf, lam = 0.0, None, getattr(model.rate, "level", None)
+        grid, levels = model.schedule.grid, model.schedule.levels
+        cdf0 = _mt_initial_cdf(model) if initial is None else None
+    reps = []
+    for r in range(replications):
+        rng_a = _stream(seed, r, _ARRIVAL)
+        arrivals = _homogeneous_arrivals(lam, horizon, rng_a) if lam is not None \
+            else nhpp_arrivals(model.rate, horizon, rng_a)
+        n0 = initial if initial is not None \
+            else int(np.searchsorted(cdf0, _stream(seed, r, _INIT).uniform()))
+        reps.append(_event_rep(arrivals, model.mu, theta, nbuf, grid, levels, n0,
+                               _stream(seed, r, _SERVICE), _stream(seed, r, _PATIENCE),
+                               horizon, warmup, bins, record))
+    return reps
+
+
+def _bulk_walk(model: BulkModel, periods: int, seed: int, rep: int) -> np.ndarray:
+    """Queue length after each period: the reflected walk, vectorized via
+    the running-minimum representation of the reflection map."""
     rng = _stream(seed, rep, _ARRIVAL)
-    steps = rng.poisson(model.lam, periods) - int(model.s)
-    walk = np.cumsum(steps)
-    floor = np.minimum.accumulate(np.minimum(walk, 0))
-    q = walk - floor
-    q = q[warmup:]
-    return {"p_empty": float(np.mean(q == 0)), "mean_queue": float(q.mean())}
+    walk = np.cumsum(rng.poisson(model.lam, periods) - int(model.s))
+    return walk - np.minimum.accumulate(np.minimum(walk, 0))
 
 
 def _diffusion_run(model: DiffusionModel, horizon: float, warmup: float,
@@ -499,24 +455,22 @@ def simulate(config: SimConfig, metrics: Iterable[str]) -> dict:
         if m not in allowed:
             raise ConfigurationError("metric %r not available for %s models" % (m, kind))
 
-    if kind in ("mms", "mmsn", "mmsm"):
-        model = config.model
-        if kind == "mms" and model.rho >= 1.0:
-            warnings.warn("rho >= 1: no steady state; estimates are transient only")
-        reps = [_markov_rep(model, config.horizon, config.warmup, config.seed, r)
-                for r in range(config.replications)]
-    elif kind == "mt":
-        reps = [_mt_rep(config.model, config.horizon, config.warmup, config.seed, r)
-                for r in range(config.replications)]
-    elif kind == "bulk":
+    if kind == "bulk":
         periods = int(round(config.horizon))
         warm = int(round(config.warmup))
-        reps = [_bulk_rep(config.model, periods, warm, config.seed, r)
-                for r in range(config.replications)]
-    else:  # diffusion
+        walks = (_bulk_walk(config.model, periods, config.seed, r)[warm:]
+                 for r in range(config.replications))
+        reps = [{"p_empty": float(np.mean(q == 0)), "mean_queue": float(q.mean())}
+                for q in walks]
+    elif kind == "hw":
         fracs, _ = _diffusion_run(config.model, config.horizon, config.warmup,
                                   config.replications, config.seed)
         reps = [{"frac_above_zero": float(f)} for f in fracs]
+    else:
+        if kind == "mms" and config.model.rho >= 1.0:
+            warnings.warn("rho >= 1: no steady state; estimates are transient only")
+        reps = _event_reps(config.model, config.horizon, config.warmup, config.seed,
+                           config.replications)
 
     return {m: SimEstimate.from_reps(np.array([r[m] for r in reps])) for m in names}
 
@@ -536,9 +490,8 @@ def time_varying_delay_profile(config: SimConfig, bin_width: float = 1.0) -> Tim
     nb = len(edges) - 1
     delayed = np.zeros(nb)
     arrivals = np.zeros(nb)
-    for r in range(config.replications):
-        _mt_rep(config.model, config.horizon, config.warmup, config.seed, r,
-                bins=edges, bin_delayed=delayed, bin_arrivals=arrivals)
+    _event_reps(config.model, config.horizon, config.warmup, config.seed,
+                config.replications, bins=(edges, delayed, arrivals))
     mids = edges[:-1] + bin_width / 2.0
     keep = mids > config.warmup
     p = delayed[keep] / np.maximum(arrivals[keep], 1.0)
@@ -548,60 +501,43 @@ def time_varying_delay_profile(config: SimConfig, bin_width: float = 1.0) -> Tim
 def sample_path(config: SimConfig, centered: bool = False) -> SamplePath:
     """Occupancy path of a single replication (replication index 0).
 
-    Queue-family paths start at full occupancy (the natural centering
-    level); centered scaling maps occupancy q to (q - s)/sqrt(s) with the
-    instantaneous server count for time-varying models.
+    QueueModel paths start at full occupancy (the natural centering
+    level), TimeVaryingModel paths at a draw from the stationary law at
+    the initial load.  Centered scaling maps occupancy q to
+    (q - s)/sqrt(s) with the instantaneous server count s.  Diffusion
+    paths are always raw.
     """
     model = config.model
     kind = _model_kind(model)
-    if kind in ("mms", "mmsn", "mmsm"):
-        rec: list = []
-        _markov_rep(model, config.horizon, 0.0, config.seed, 0,
-                    initial=int(model.s), record=rec)
-        times = np.array([p[0] for p in rec])
-        vals = np.array([p[1] for p in rec], dtype=float)
-        if centered:
-            s = float(model.s)
-            return SamplePath(times, (vals - s) / math.sqrt(s), "centered_scaled")
+    if kind == "hw":  # record every step
+        step = model.step
+        n = int(round(config.horizon / step))
+        gen = _stream(config.seed, 0, _SERVICE)
+        x = 0.0
+        times = np.arange(1, n + 1) * step
+        vals = np.empty(n)
+        sq = math.sqrt(2.0 * step)
+        z = gen.standard_normal(n)
+        beta, theta = model.beta, model.theta
+        for i in range(n):
+            drift = (-beta - theta * x) if x > 0.0 else (-beta - x)
+            x += drift * step + sq * z[i]
+            vals[i] = x
         return SamplePath(times, vals, "raw")
-    if kind == "mt":
-        rec, lev = [], []
-        _mt_rep(model, config.horizon, 0.0, config.seed, 0,
-                record=rec, record_levels=lev)
-        times = np.array([p[0] for p in rec])
-        vals = np.array([p[1] for p in rec], dtype=float)
-        levels = np.array(lev, dtype=float)
-        if centered:
-            return SamplePath(times, (vals - levels) / np.sqrt(levels),
-                              "centered_scaled", levels=levels)
-        return SamplePath(times, vals, "raw", levels=levels)
     if kind == "bulk":
         periods = int(round(config.horizon))
-        rng = _stream(config.seed, 0, _ARRIVAL)
-        steps = rng.poisson(model.lam, periods) - int(model.s)
-        walk = np.cumsum(steps)
-        q = walk - np.minimum.accumulate(np.minimum(walk, 0))
         times = np.arange(1, periods + 1, dtype=float)
-        vals = q.astype(float)
-        if centered:
-            s = float(model.s)
-            return SamplePath(times, (vals - s) / math.sqrt(s), "centered_scaled")
-        return SamplePath(times, vals, "raw")
-    # diffusion: record every step
-    step = model.step
-    n = int(round(config.horizon / step))
-    gen = _stream(config.seed, 0, _SERVICE)
-    x = 0.0
-    times = np.arange(1, n + 1) * step
-    vals = np.empty(n)
-    sq = math.sqrt(2.0 * step)
-    z = gen.standard_normal(n)
-    beta, theta = model.beta, model.theta
-    for i in range(n):
-        drift = (-beta - theta * x) if x > 0.0 else (-beta - x)
-        x += drift * step + sq * z[i]
-        vals[i] = x
-    return SamplePath(times, vals, "raw")
+        vals = _bulk_walk(model, periods, config.seed, 0).astype(float)
+        levels = float(model.s)
+    else:
+        rec: list = []
+        _event_reps(model, config.horizon, 0.0, config.seed, 1, record=rec,
+                    initial=int(model.s) if kind != "mt" else None)
+        times, vals, levels = (np.array(col, dtype=float) for col in zip(*rec))
+    kept = levels if kind == "mt" else None
+    if centered:
+        return SamplePath(times, (vals - levels) / np.sqrt(levels), "centered_scaled", kept)
+    return SamplePath(times, vals, "raw", kept)
 
 
 def _config_dict(config: SimConfig) -> dict:

@@ -309,12 +309,6 @@ class StaffingSchedule:
         i = int(np.searchsorted(self.grid, t, side="right")) - 1
         return int(self.levels[max(i, 0)])
 
-    def cell_midpoints(self) -> np.ndarray:
-        g = self.grid
-        widths = np.diff(g)
-        last = widths[-1] if len(widths) else 1.0
-        return np.concatenate([g[:-1] + widths / 2.0, [g[-1] + last / 2.0]])
-
 
 def _cell_midpoints(grid: np.ndarray) -> np.ndarray:
     g = np.asarray(grid, dtype=float)

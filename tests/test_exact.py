@@ -309,9 +309,10 @@ def _erlang_a_reference(lam, s, theta, control):
 
 @pytest.mark.parametrize("lam,s,theta", [(1.0, 2, 1.0), (3.2, 4, 1e-9), (50.0, 55, 0.3),
                                          (100.0, 90, 5.0), (10.0, 1000, 1.0),
-                                         (1000.0, 1030, 1.0)])
+                                         (1000.0, 1030, 1.0), (100.0, 1, 0.01)])
 def test_erlang_a_matches_birth_death_solver(lam, s, theta):
-    cap = s + int(math.ceil(200.0 * math.sqrt(s))) + 200
+    mode = s + int(math.ceil(max(lam - s, 0.0) / theta))
+    cap = mode + int(math.ceil(200.0 * math.sqrt(mode))) + 200
     control = SeriesControl(abs_tol=1e-12, max_terms=cap)
     ref = _erlang_a_reference(lam, s, theta, control)
     m = erlang_a_measures(QueueModel(lam=lam, s=s, theta=theta))
@@ -328,6 +329,9 @@ def test_erlang_a_state_budget_exhausted():
         _erlang_a_reference(1.0, 2, 1.0, control)
     with pytest.raises(NumericalError):
         erlang_a_measures(QueueModel(lam=1.0, s=2, theta=1.0), control)
+    # a mode of 1e12 states would exhaust memory before the default cap
+    with pytest.raises(NumericalError):
+        erlang_a_measures(QueueModel(lam=5.0, s=4, theta=1e-12))
 
 
 def test_erlang_a_unstable_without_abandonment():

@@ -11,6 +11,8 @@ from qedq import (
     QueueModel,
     SimConfig,
     SinusoidRate,
+    StaffingSchedule,
+    TimeVaryingModel,
     bulk_stationary,
     diffusion_samples,
     erlang_a_measures,
@@ -91,6 +93,17 @@ def test_unstable_model_flagged():
         simulate(cfg, ["mean_queue"])
 
 
+def test_mt_initial_load_clamp_warns():
+    # an initial load at or above s(0) has no stationary M/M/s law to draw from
+    schedule = StaffingSchedule(grid=np.array([0.0, 2.0]), levels=np.array([6, 12]),
+                                method="PSA", epsilon=0.3, mu=1.0)
+    model = TimeVaryingModel(rate=qedq.ConstantRate(8.0), schedule=schedule)
+    cfg = SimConfig(model=model, horizon=5.0, replications=2, seed=3)
+    with pytest.warns(UserWarning, match="initial offered load 8 >= s\\(0\\) = 6"):
+        est = simulate(cfg, ["mean_queue"])
+    assert math.isfinite(est["mean_queue"].point)
+
+
 def test_mms_simulation_covers_analytics():
     model = QueueModel(lam=3.2, s=4)
     cfg = SimConfig(model=model, horizon=4000.0, warmup=200.0,
@@ -107,11 +120,12 @@ def test_erlang_a_simulation_covers_analytics():
     model = QueueModel(lam=1.0, s=2, theta=1.0)
     cfg = SimConfig(model=model, horizon=8000.0, warmup=200.0,
                     replications=12, seed=77)
-    est = simulate(cfg, ["delay_prob", "abandon_prob", "mean_queue"])
+    est = simulate(cfg, ["delay_prob", "abandon_prob", "mean_queue", "mean_delay"])
     m = erlang_a_measures(model)
     assert _covers(est["delay_prob"], m.delay_prob)
     assert _covers(est["abandon_prob"], m.abandon_prob)
     assert _covers(est["mean_queue"], m.mean_queue)
+    assert _covers(est["mean_delay"], m.mean_delay)
 
 
 def test_mmsn_simulation_covers_analytics():
