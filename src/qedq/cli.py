@@ -239,6 +239,8 @@ def _build_sim_config(args):
     if args.rate is None or args.schedule is None or args.epsilon is None:
         raise UsageError("mt needs --rate, --schedule and --epsilon")
     rate = timevarying.parse_rate(args.rate)
+    if not (args.grid_step > 0.0):
+        raise UsageError("--grid-step must be positive, got %r" % (args.grid_step,))
     horizon = args.horizon if args.horizon is not None else 24.0 + 1.0 / args.mu
     grid = np.arange(0.0, horizon, args.grid_step)
     if args.schedule == "mol":

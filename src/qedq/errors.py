@@ -2,9 +2,9 @@
 
 The split mirrors how callers need to react: bad arguments
 (:class:`DomainError`), models without a stationary regime
-(:class:`InstabilityError`), series/quadrature that failed to reach the
-requested tolerance (:class:`NumericalError`), and inconsistent
-simulation/CLI setups (:class:`ConfigurationError`).
+(:class:`InstabilityError`), series or state spaces that failed to reach
+the requested tolerance within their budget (:class:`NumericalError`),
+and inconsistent simulation/CLI setups (:class:`ConfigurationError`).
 """
 
 
@@ -21,7 +21,8 @@ class InstabilityError(QedqError, ValueError):
 
 
 class NumericalError(QedqError, ArithmeticError):
-    """A series or quadrature did not converge to the requested tolerance."""
+    """A series or truncated state space did not reach the requested
+    tolerance within its budget."""
 
 
 class ConfigurationError(QedqError, ValueError):

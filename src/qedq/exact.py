@@ -1,10 +1,12 @@
 """Exact stationary analysis of Markovian multi-server queues.
 
-Covers the Erlang loss and delay formulas (including the real-argument
-extension of Erlang C), full stationary measures of M/M/s, the
+Covers the Erlang loss and delay formulas (including their extension to
+real server counts), full stationary measures of M/M/s, the
 finite-buffer M/M/s/n, and the abandonment model M/M/s+M.  Erlang B/C and
-the M/M/s and M/M/s+M laws are closed forms on scipy ufuncs; M/M/s/n goes
-through the generic birth-death solver.
+the M/M/s and M/M/s+M laws are closed forms on scipy ufuncs, built on the
+one Poisson pmf of ``qedq.special``; Erlang B is the same formula
+p(s) / Q(s+1, load) at integer and real s.  M/M/s/n goes through the
+generic birth-death solver.
 
 Conventions: ``load`` always means offered load lambda/mu.  ``mean_delay``
 is queueing time only (no service), ``mean_queue`` counts waiting jobs
@@ -21,11 +23,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy import special as _sp
 
 from .errors import DomainError, InstabilityError, NumericalError
-from .special import SeriesControl
+from .special import SeriesControl, _poisson_log_pmf
 
 __all__ = [
     "QueueModel",
@@ -100,29 +101,14 @@ class BirthDeathResult(NamedTuple):
     converged: bool
 
 
-# Up to this many servers Erlang B comes from the recursion: it is exact to
-# rounding there (tests pin it to 1e-15 at s <= 12), and its O(s) loop
-# costs about as much as the closed form at s = 40.
+# Up to this many servers Erlang B at integer s comes from the recursion:
+# it is exact to rounding there (tests pin it to 1e-15 at s <= 12), and its
+# O(s) loop costs about as much as the closed form at s = 40.
 _RECURSION_MAX_S = 40
-# The closed form divides by the Poisson cdf; below this value (load >> s)
-# the cdf nears the subnormal range and the recursion takes over.
+# The closed form divides by the Poisson upper tail Q(s+1, load); below
+# this value (load >> s) it nears the subnormal range and the recursion
+# takes over.
 _CDF_MIN = 1e-290
-
-
-def _poisson_log_pmf_saddle(k, mean):
-    """log P(Pois(mean) = k) for k > 40 in Loader's saddle-point form
-    -stirlerr(k) - bd0(k, mean) - log(2 pi k)/2; ufunc-based, so k may be
-    an array.
-
-    The deviance bd0 = k log(k/mean) - (k - mean) is small near the mode,
-    where k log(mean) - mean - gammaln(k+1) would cancel terms of size
-    k log k (4e-10 relative error at k = 3e5, 2e-9 at 1e6).  Three terms
-    of the Stirling series leave an error below 3e-15 for k > 40.
-    """
-    k2 = k * k
-    stirlerr = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * k2)) / k2) / k
-    bd0 = _sp.xlog1py(k, (k - mean) / mean) - (k - mean)
-    return -stirlerr - bd0 - 0.5 * np.log(2.0 * math.pi * k)
 
 
 def _erlang_b_recursion(s: int, load: float) -> float:
@@ -132,22 +118,40 @@ def _erlang_b_recursion(s: int, load: float) -> float:
     return b
 
 
-def _erlang_b_scalar(s: int, load: float) -> float:
-    if s > _RECURSION_MAX_S:
-        cdf = float(_sp.pdtr(s, load))
-        if cdf >= _CDF_MIN:
-            return math.exp(float(_poisson_log_pmf_saddle(float(s), load))) / cdf
-    return _erlang_b_recursion(s, load)
+def _erlang_b(s, load: float):
+    """Erlang B at an int, a float (real s) or an integer array ``s``.
+
+    B = p(s) / Q(s+1, load): the Poisson(load) pmf over the regularized
+    upper incomplete gamma, which at integer s is the Poisson cdf.  At
+    real s this is Jagerman's continuous Erlang B, because
+    1/B = load int_0^inf e^(-load t) (1+t)^s dt = e^load load^(-s)
+    Gamma(s+1, load).  Integer s <= 40, and integer s whose Q underflows,
+    take the recursion instead.  A real s must exceed the load, so that Q
+    stays near 1.
+    """
+    if isinstance(s, np.ndarray):
+        x = s.astype(float).ravel()
+        q = _sp.gammaincc(x + 1.0, load)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = np.exp(_poisson_log_pmf(x, load)) / q
+        for i in np.flatnonzero((x <= _RECURSION_MAX_S) | ~(q >= _CDF_MIN)):
+            b[i] = _erlang_b_recursion(int(x[i]), load)
+        return b.reshape(s.shape)
+    if s <= _RECURSION_MAX_S and isinstance(s, int):
+        return _erlang_b_recursion(s, load)
+    q = float(_sp.gammaincc(s + 1.0, load))
+    if q < _CDF_MIN and isinstance(s, int):
+        return _erlang_b_recursion(s, load)
+    return math.exp(_poisson_log_pmf(float(s), load)) / q
 
 
-def _erlang_b_array(s: np.ndarray, load: float) -> np.ndarray:
-    x = s.astype(float).ravel()
-    cdf = _sp.pdtr(x, load)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = np.exp(_poisson_log_pmf_saddle(x, load)) / cdf
-    for i in np.flatnonzero((x <= _RECURSION_MAX_S) | ~(cdf >= _CDF_MIN)):
-        b[i] = _erlang_b_recursion(int(x[i]), load)
-    return b.reshape(s.shape)
+def _erlang_c(s, load: float):
+    """Erlang C from Erlang B as C = B / (1 - rho (1 - B)), which stays
+    defined when B underflows to 0 (C is then 0.0); ``s`` as for
+    :func:`_erlang_b`, with s > load."""
+    b = _erlang_b(s, load)
+    rho = load / s
+    return b / (1.0 - rho * (1.0 - b))
 
 
 def _check_erlang_args(name: str, s, load: float):
@@ -170,17 +174,14 @@ def erlang_b(s, load: float):
 
     For s > 40 this is the closed form B = p(s) / F(s), the Poisson(load)
     pmf over its cdf: p is taken in Loader's saddle-point form and F is
-    ``scipy.special.pdtr``, so a call costs O(1) for any s; it agrees
-    with a 50-digit reference to about 1e-12 relative for s <= 1e6.  For
-    s <= 40, and where F underflows (load >> s), it uses the stable
-    recursion B(0) = 1, B(k) = a B(k-1) / (k + a B(k-1)).
+    ``scipy.special.gammaincc(s + 1, load)``, so a call costs O(1) for any
+    s; it agrees with a 50-digit reference to about 1e-12 relative for
+    s <= 1e6.  For s <= 40, and where F underflows (load >> s), it uses
+    the stable recursion B(0) = 1, B(k) = a B(k-1) / (k + a B(k-1)).
 
     ``s`` may be an integer array; the result then has its shape.
     """
-    s = _check_erlang_args("erlang_b", s, load)
-    if isinstance(s, int):
-        return _erlang_b_scalar(s, load)
-    return _erlang_b_array(s, load)
+    return _erlang_b(_check_erlang_args("erlang_b", s, load), load)
 
 
 def erlang_c(s, load: float):
@@ -191,44 +192,34 @@ def erlang_c(s, load: float):
     integer array, as for :func:`erlang_b`.
     """
     s = _check_erlang_args("erlang_c", s, load)
-    scalar = isinstance(s, int)
-    if load >= (s if scalar else s.min()):
+    if load >= (s if isinstance(s, int) else s.min()):
         raise InstabilityError("M/M/s unstable: load %r >= s=%r" % (load, s))
-    b = _erlang_b_scalar(s, load) if scalar else _erlang_b_array(s, load)
-    rho = load / s
-    return b / (1.0 - rho * (1.0 - b))
+    return _erlang_c(s, load)
 
 
 def erlang_c_real(s: float, load: float) -> float:
-    """Erlang C extended to real server counts via its integral form.
+    """Erlang C at a real server count s > load.
 
-    The reciprocal equals ``load * int_0^inf t e^(-load t) (1+t)^(s-1) dt``;
-    after rescaling t by sqrt(load) the integrand has an O(1)-located,
-    O(1)-wide peak for every load, so adaptive quadrature is
-    well conditioned uniformly in the QED regime.
+    The same closed form as :func:`erlang_c`, C = B / (1 - rho (1 - B))
+    with B = p(s) / Q(s+1, load) and the pmf at real s (see
+    ``_erlang_b``); at integer s it equals :func:`erlang_c` up to the
+    recursion used there for s <= 40.  Within about 1e-12 relative of a
+    50-digit reference for s from 0.5 to 1e6.
     """
     s = float(s)
     if not (load > 0.0):
         raise DomainError("erlang_c_real requires load > 0, got %r" % (load,))
+    if not math.isfinite(s):
+        raise DomainError("erlang_c_real requires finite s, got %r" % (s,))
     if not (s > load):
         raise InstabilityError("erlang_c_real requires s > load, got s=%r load=%r" % (s, load))
-    r = math.sqrt(load)
-
-    def integrand(v):
-        return v * np.exp(-r * v + (s - 1.0) * np.log1p(v / r))
-
-    val, err = _integrate.quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-11, limit=200)
-    if not np.isfinite(val) or val <= 0.0 or err > 1e-8 * val:
-        raise NumericalError(
-            "erlang_c_real quadrature did not converge (value=%r, err=%r)" % (val, err)
-        )
-    return 1.0 / val
+    return _erlang_c(s, load)
 
 
 def mms_pi(load: float, s: int, abs_tol: float = 1e-12) -> tuple[np.ndarray, float]:
     """Stationary distribution of M/M/s, truncated with reported tail mass.
 
-    States 0..s carry weights load^k / k!; above s the law is geometric
+    States 0..s carry the Poisson(load) weights; above s the law is geometric
     with ratio rho = load/s.  The returned array covers 0..s + m, where
     m is the smallest count that leaves a remaining mass below
     ``abs_tol``, capped at ``SeriesControl().max_terms`` so that rho near
@@ -241,9 +232,8 @@ def mms_pi(load: float, s: int, abs_tol: float = 1e-12) -> tuple[np.ndarray, flo
     if load >= s:
         raise InstabilityError("M/M/s unstable: load %r >= s=%r" % (load, s))
     rho = load / s
-    k = np.arange(0, s + 1)
-    logw = k * math.log(load) - _sp.gammaln(k + 1)
-    # normalization: sum_{k<=s} a^k/k! + a^s/s! * rho/(1-rho)
+    logw = _poisson_log_pmf(np.arange(s + 1, dtype=float), load)
+    # normalization: sum_{k<=s} p(k) + p(s) * rho/(1-rho)
     log_norm = np.logaddexp(_sp.logsumexp(logw), logw[-1] + math.log(rho / (1.0 - rho)))
     extra = math.ceil((math.log(abs_tol) + log_norm - logw[-1] + math.log(1.0 - rho))
                       / math.log(rho))
@@ -391,18 +381,14 @@ def mmsn_measures(model: QueueModel) -> StationaryMeasures:
 def _erlang_a_log_weights(lam: float, mu: float, theta: float, s: int, n: int) -> np.ndarray:
     """Log-weights of states 0..n-1 of M/M/s+M, up to a common constant.
 
-    For k <= s the weight is P(Pois(a) = k), a = lam/mu, in Loader's
-    saddle-point form above k = 40.  Beyond s it is
+    For k <= s the weight is P(Pois(a) = k), a = lam/mu, from
+    ``qedq.special``'s one Poisson pmf.  Beyond s it is
     w_s lam^j / prod_{i<=j} (s mu + i theta), summed in log space as
     j log(lam / (s mu)) - sum_{i<=j} log1p(i theta / (s mu)), whose partial
     sums stay small.  Neither part cancels terms of size a log a, so the
     weights keep about 1e-13 relative accuracy at s = 1e5.
     """
-    a = lam / mu
-    k = np.arange(min(n, s + 1), dtype=float)
-    logw = _poisson_log_pmf_saddle(np.maximum(k, _RECURSION_MAX_S + 1.0), a)
-    low = k[:_RECURSION_MAX_S + 1]
-    logw[:len(low)] = _sp.xlogy(low, a) - a - _sp.gammaln(low + 1.0)
+    logw = _poisson_log_pmf(np.arange(min(n, s + 1), dtype=float), lam / mu)
     if n <= s + 1:
         return logw
     j = np.arange(1, n - s, dtype=float)
@@ -422,10 +408,12 @@ def erlang_a_measures(model: QueueModel, control: SeriesControl | None = None) -
     remaining mass is below ``control.abs_tol`` times the mass so far.
     That bound is reported as ``tail_mass`` (a share of the total), so
     ``pi.sum() + tail_mass == 1``.  ``control.max_terms`` caps the last
-    state; it defaults to m + 200 sqrt(m) + 200, where m = s + (lambda -
-    s mu)^+ / theta is the mode (the superlinear death rate guarantees
-    fast decay beyond it).  A mode above 1e7 states raises
-    ``NumericalError`` instead of exhausting memory.
+    state; it defaults to m + 200 sqrt(max(m, lambda / theta)) + 200,
+    where m = s + (lambda - s mu)^+ / theta is the mode.  Beyond the mode
+    the superlinear death rate guarantees fast decay, but near critical
+    load the queue above s spreads over about sqrt(lambda / theta)
+    states; that spread term is capped at sqrt(1e7).  A mode above 1e7
+    states raises ``NumericalError`` instead of exhausting memory.
     """
     if model.theta is None:
         raise DomainError("erlang_a_measures expects an abandonment model")
@@ -440,7 +428,8 @@ def erlang_a_measures(model: QueueModel, control: SeriesControl | None = None) -
             raise NumericalError("M/M/s+M mode at %.3g states exceeds the 1e7-state budget"
                                  % mode)
         mode = int(math.ceil(mode))
-        cap = mode + int(math.ceil(200.0 * math.sqrt(mode))) + 200
+        spread = math.sqrt(max(mode, min(lam / theta, 1e7)))
+        cap = mode + int(math.ceil(200.0 * spread)) + 200
         control = SeriesControl(abs_tol=1e-12, max_terms=cap)
     n_max = control.max_terms + 1
     n = min(n_max, s + 8 * int(math.ceil(math.sqrt(s))) + 64)

@@ -403,6 +403,9 @@ def _diffusion_run(model: DiffusionModel, horizon: float, warmup: float,
     beta, theta = model.beta, model.theta
     nsteps = int(round(horizon / step))
     nwarm = int(round(warmup / step))
+    if nsteps <= nwarm:
+        raise ConfigurationError("no diffusion step after warm-up (%d steps, %d warm-up)"
+                                 % (nsteps, nwarm))
     every = max(int(round(sample_dt / step)), 1) if sample_dt else 0
     gens = [_stream(seed, r, _SERVICE) for r in range(replications)]
     x = np.zeros(replications)
@@ -426,7 +429,7 @@ def _diffusion_run(model: DiffusionModel, horizon: float, warmup: float,
                 count += 1
                 if every and (done - nwarm) % every == 0:
                     samples.append(x.copy())
-    fracs = above / max(count, 1)
+    fracs = above / count
     if sample_dt:
         return fracs, (np.concatenate(samples) if samples else np.empty(0))
     return fracs, None
@@ -458,6 +461,9 @@ def simulate(config: SimConfig, metrics: Iterable[str]) -> dict:
     if kind == "bulk":
         periods = int(round(config.horizon))
         warm = int(round(config.warmup))
+        if periods <= warm:
+            raise ConfigurationError("no bulk period after warm-up (%d periods, %d warm-up)"
+                                     % (periods, warm))
         walks = (_bulk_walk(config.model, periods, config.seed, r)[warm:]
                  for r in range(config.replications))
         reps = [{"p_empty": float(np.mean(q == 0)), "mean_queue": float(q.mean())}
@@ -505,11 +511,14 @@ def sample_path(config: SimConfig, centered: bool = False) -> SamplePath:
     level), TimeVaryingModel paths at a draw from the stationary law at
     the initial load.  Centered scaling maps occupancy q to
     (q - s)/sqrt(s) with the instantaneous server count s.  Diffusion
-    paths are always raw.
+    paths have no server count to center on: they are raw, and
+    ``centered=True`` raises ``ConfigurationError``.
     """
     model = config.model
     kind = _model_kind(model)
     if kind == "hw":  # record every step
+        if centered:
+            raise ConfigurationError("diffusion paths are raw; centered=True needs a queue model")
         step = model.step
         n = int(round(config.horizon / step))
         gen = _stream(config.seed, 0, _SERVICE)

@@ -1,16 +1,20 @@
-"""Scalar special functions used throughout the package.
+"""Special functions used throughout the package.
 
 Standard normal pdf/cdf/quantile, Poisson tail probabilities evaluated
-through the regularized incomplete gamma function, and the Riemann zeta
-function at the half-integer arguments required by the Gaussian-random-walk
-series.
+through the regularized incomplete gamma function, the Poisson pmf at
+real arguments (scalar or array) that the exact layer builds on, and the
+Riemann zeta function at the half-integer arguments required by the
+Gaussian-random-walk series.
 
 Numerical policy
 ----------------
 * Poisson tails never sum terms naively: ``P(Pois(m) >= c)`` is the
   regularized lower incomplete gamma ``P(c, m)``, stable up to means of
-  1e6 and beyond.  The single pmf term needed by identities is evaluated
-  in log space through ``gammaln``.
+  1e6 and beyond.
+* The Poisson pmf has one evaluation, at real k and over arrays:
+  log-gamma form up to k = 40, Loader's saddle-point form above, where
+  ``k log m - m - gammaln(k+1)`` would cancel terms of size k log k.
+  Erlang B/C, the M/M/s law and the M/M/s+M weights all use it.
 * Zeta values at ``1/2 - l`` and ``-1/2 - l`` (l = 0..199) come from one
   embedded table of zeta(1/2 - k), k = 0..200, precomputed with mpmath at
   30 significant digits; the ``-1/2 - l`` branch reads entry l + 1.  The
@@ -25,6 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
 from scipy import special as _sp
 
 from .errors import DomainError
@@ -115,13 +120,43 @@ def poisson_tail(mean: float, c: int) -> PoissonTail:
     return PoissonTail(p_geq, p_gt)
 
 
+_LOG_GAMMA_MAX_K = 40
+
+
+def _loader_saddle(k, mean):
+    """-stirlerr(k) - bd0(k, mean) - log(2 pi k)/2: the deviance
+    bd0 = k log(k/mean) - (k - mean) is small near the mode, and three
+    Stirling terms leave an error below 3e-15 for k > 40."""
+    k2 = k * k
+    stirlerr = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * k2)) / k2) / k
+    bd0 = _sp.xlog1py(k, (k - mean) / mean) - (k - mean)
+    return -stirlerr - bd0 - 0.5 * np.log(2.0 * math.pi * k)
+
+
+def _poisson_log_pmf(k, mean):
+    """log P(Pois(mean) = k) at real k >= 0, a float or a float array;
+    unchecked.  Log-gamma form up to k = 40, saddle-point form above (the
+    log-gamma form would lose 4e-10 relative at k = 3e5, 2e-9 at 1e6).
+    """
+    if isinstance(k, np.ndarray):
+        small = k <= _LOG_GAMMA_MAX_K
+        logp = _loader_saddle(np.where(small, _LOG_GAMMA_MAX_K + 1.0, k), mean)
+        low = k[small]
+        logp[small] = _sp.xlogy(low, mean) - mean - _sp.gammaln(low + 1.0)
+        return logp
+    if k > _LOG_GAMMA_MAX_K:
+        return float(_loader_saddle(k, mean))
+    return float(_sp.xlogy(k, mean) - mean - _sp.gammaln(k + 1.0))
+
+
 def poisson_log_pmf(mean: float, c: int) -> float:
-    """log P(Pois(mean) = c), evaluated through log-gamma."""
+    """log P(Pois(mean) = c): log-gamma form for c <= 40, Loader's
+    saddle-point form above."""
     if not (mean > 0.0):
         raise DomainError("poisson_log_pmf requires mean > 0, got %r" % (mean,))
     if c < 0:
         raise DomainError("poisson_log_pmf requires c >= 0, got %r" % (c,))
-    return c * math.log(mean) - mean - float(_sp.gammaln(c + 1))
+    return _poisson_log_pmf(float(c), float(mean))
 
 
 def round_half_up(x: float) -> int:

@@ -20,7 +20,7 @@ from scipy import optimize as _opt
 
 from .errors import DomainError, InstabilityError
 from .exact import erlang_c, erlang_c_real
-from .qed import qed_delay_prob, delay_correction_coeff
+from .qed import _mills, delay_correction_coeff, qed_delay_prob
 from .special import normal_quantile, round_half_up
 
 __all__ = [
@@ -143,7 +143,7 @@ def staffing_cost(s, lam: float, r: float):
 
 
 def staffing_cost_real(s: float, lam: float, r: float) -> float:
-    """The same cost at real-valued s, via the integral Erlang C extension.
+    """The same cost at real-valued s, via :func:`erlang_c_real`.
 
     Used for optimality-gap evaluation of the continuous staffing rules
     before rounding.
@@ -159,35 +159,37 @@ def _kstar(beta: float, r: float) -> float:
     return r * beta + qed_delay_prob(beta) / beta
 
 
-def cost_beta_star(r: float, tol: float = 1e-11) -> float:
+def _kstar_slope(beta: float, r: float) -> float:
+    """K'(beta) = r + (beta g' - g) / beta^2 for K(beta) = r beta + g/beta.
+
+    With M = Phi/phi, g = 1/(1 + beta M) and M' = 1 + beta M, so
+    g' = -(M + beta (1 + beta M)) g^2 = -g (g M + beta); g M is written
+    1/(1/M + beta), which stays finite when M overflows.
+    """
+    mills = _mills(beta)
+    g = 1.0 / (1.0 + beta * mills)
+    dg = -g * (1.0 / (1.0 / mills + beta) + beta)
+    return r + (beta * dg - g) / (beta * beta)
+
+
+def cost_beta_star(r: float) -> float:
     """Minimizer of the limiting scaled cost r beta + g(beta)/beta.
 
-    Golden-section search on a bracket grown until the slope changes
-    sign; the limiting cost is strictly convex so the minimum is unique.
+    The cost is strictly convex, so the minimizer is the one root of its
+    closed-form slope; Brent's method solves it on a bracket grown by
+    doubling (or halving) from [1/2, 1].
     """
     if not (r > 0.0):
         raise DomainError("cost ratio must be positive, got %r" % (r,))
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo = 1e-8
-    hi = 1.0
-    while _kstar(hi * 1.01, r) < _kstar(hi, r):
-        hi *= 2.0
-        if hi > 1e8:
+    lo, hi = 0.5, 1.0
+    while _kstar_slope(hi, r) < 0.0:
+        lo, hi = hi, 2.0 * hi
+    while _kstar_slope(lo, r) > 0.0:
+        lo, hi = 0.5 * lo, lo
+        if lo < 1e-150:
             raise DomainError("no interior minimum found for r=%r" % (r,))
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = _kstar(c, r), _kstar(d, r)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = _kstar(c, r)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = _kstar(d, r)
-    return 0.5 * (a + b)
+    return _opt.brentq(_kstar_slope, lo, hi, args=(r,), xtol=1e-16 * lo,
+                       rtol=4.0 * np.finfo(float).eps)
 
 
 def cost_qed(lam: float, r: float) -> StaffingSolution:

@@ -171,3 +171,19 @@ def test_simulate_mmsm(capsys):
                            "--metric", "abandon_prob", "--format", "csv")
     assert code == 0
     assert out.splitlines()[1].startswith("abandon_prob")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "mt", "--rate", "constant:10", "--schedule", "psa", "--epsilon", "0.2",
+     "--grid-step", "0"),
+    ("--model", "bulk", "--lambda", "1", "--servers", "2", "--periods", "1", "--reps", "4"),
+    ("--model", "hw", "--beta", "1", "--horizon", "0.001", "--reps", "2"),
+])
+def test_simulate_empty_setup_is_usage_error(capsys, argv):
+    # a zero grid step, or a run with no bulk period or diffusion step after
+    # warm-up (a quarter period per replication; half an Euler step), exits 2
+    code, out, err = run_cli(capsys, "simulate", *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+

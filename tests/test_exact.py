@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath
@@ -168,6 +170,33 @@ def test_erlang_c_real_examples():
 def test_erlang_c_real_instability():
     with pytest.raises(InstabilityError):
         erlang_c_real(3.0, 3.5)
+    with pytest.raises(DomainError):
+        erlang_c_real(math.inf, 3.5)
+
+
+def _erlang_c_real_mp(s, a):
+    """Continuous Erlang C at 50 digits: B = e^-a a^s / Gamma(s+1, a)."""
+    with mpmath.workdps(50):
+        s, a = mpmath.mpf(s), mpmath.mpf(a)
+        b = mpmath.exp(s * mpmath.log(a) - a) / mpmath.gammainc(s + 1, a, mpmath.inf)
+        rho = a / s
+        return b / (1 - rho * (1 - b))
+
+
+# 40.5 and 41.2 sit on either side of the switch between the log-gamma
+# and the saddle-point pmf
+@pytest.mark.parametrize("s", [0.5, 10.5, 40.5, 41.2, 1000.25, 10**6 + 0.7])
+@pytest.mark.parametrize("beta", [0.05, 0.3, 1.0, 2.5, 4.0, 8.0])
+def test_erlang_c_real_vs_mpmath(s, beta):
+    a = _load_for(s, beta)
+    assert erlang_c_real(s, a) == pytest.approx(float(_erlang_c_real_mp(s, a)), rel=1e-11)
+
+
+def test_import_leaves_out_scipy_integrate():
+    code = "import sys, qedq; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_mms_measures_basic():
@@ -309,10 +338,14 @@ def _erlang_a_reference(lam, s, theta, control):
 
 @pytest.mark.parametrize("lam,s,theta", [(1.0, 2, 1.0), (3.2, 4, 1e-9), (50.0, 55, 0.3),
                                          (100.0, 90, 5.0), (10.0, 1000, 1.0),
-                                         (1000.0, 1030, 1.0), (100.0, 1, 0.01)])
+                                         (1000.0, 1030, 1.0), (100.0, 1, 0.01),
+                                         (100.0, 100, 0.001), (1000.0, 1000, 0.001)])
 def test_erlang_a_matches_birth_death_solver(lam, s, theta):
+    # the reference cap follows the default rule: the mode plus 200 spreads
+    # sqrt(max(mode, lam/theta)), the second capped at 1e7
     mode = s + int(math.ceil(max(lam - s, 0.0) / theta))
-    cap = mode + int(math.ceil(200.0 * math.sqrt(mode))) + 200
+    spread = math.sqrt(max(mode, min(lam / theta, 1e7)))
+    cap = mode + int(math.ceil(200.0 * spread)) + 200
     control = SeriesControl(abs_tol=1e-12, max_terms=cap)
     ref = _erlang_a_reference(lam, s, theta, control)
     m = erlang_a_measures(QueueModel(lam=lam, s=s, theta=theta))

@@ -255,6 +255,13 @@ def test_sample_path_mmsn_hard_cap():
     assert path.values.max() <= gamma + 1e-12
 
 
+def test_sample_path_diffusion_rejects_centering():
+    cfg = SimConfig(model=DiffusionModel(beta=1.0), horizon=1.0, replications=1)
+    assert sample_path(cfg).scaling == "raw"
+    with pytest.raises(ConfigurationError):
+        sample_path(cfg, centered=True)
+
+
 def test_qed_ladder_variance_and_regime_ordering():
     # centered-scaled path variance stays O(1) along the square-root rule
     variances = {}

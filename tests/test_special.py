@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +12,7 @@ from qedq import (
     poisson_tail,
     zeta_half,
 )
-from qedq.special import poisson_log_pmf
+from qedq.special import _poisson_log_pmf, poisson_log_pmf
 
 from oracles import normal_cdf_quad, poisson_tail_brute
 
@@ -94,6 +95,21 @@ def test_poisson_term_identity(mean):
         t = poisson_tail(mean, c)
         assert t.p_geq - t.p_gt == pytest.approx(
             math.exp(poisson_log_pmf(mean, c)), abs=1e-12)
+
+
+def test_poisson_log_pmf_vs_mpmath():
+    # scalar and array evaluation of the one pmf, on both sides of k = 40;
+    # near the mode the log-gamma form would be about 1e-10 off
+    mean = 3.3e5
+    ks = [0.0, 0.5, 7.0, 40.0, 40.5, 41.0, 41.2, 1e3, 3.2e5, 330000.0, 3.3e5 + 0.7, 1e6]
+    with mpmath.workdps(50):
+        m = mpmath.mpf(mean)
+        ref = [float(k * mpmath.log(m) - m - mpmath.loggamma(k + 1)) for k in ks]
+    arr = _poisson_log_pmf(np.array(ks), mean)
+    for k, want, got in zip(ks, ref, arr):
+        assert _poisson_log_pmf(k, mean) == pytest.approx(want, rel=1e-14)
+        assert got == pytest.approx(want, rel=1e-14)
+    assert poisson_log_pmf(mean, 330000) == pytest.approx(ref[ks.index(330000.0)], rel=1e-14)
 
 
 @pytest.mark.parametrize("mean", [0.5, 1.0, 4.0, 20.0])

@@ -126,6 +126,18 @@ def test_cost_beta_star_r1():
     assert bs + qed_delay_prob(bs) / bs == pytest.approx(1.191, abs=2e-3)
 
 
+@pytest.mark.parametrize("r", [1e-4, 1e-2, 0.3, 1.0, 4.0, 1e2, 1e3])
+def test_cost_beta_star_vs_mpmath(r):
+    # the root of dK/dbeta, differentiated numerically at 40 digits
+    def k(b):
+        pdf, cdf = mpmath.npdf(b), mpmath.ncdf(b)
+        return r * b + pdf / (pdf + b * cdf) / b
+
+    with mpmath.workdps(40):
+        ref = mpmath.findroot(lambda b: mpmath.diff(k, b), 1.0 / math.sqrt(r + 1.0))
+    assert cost_beta_star(r) == pytest.approx(float(ref), rel=1e-12)
+
+
 def test_cost_beta_star_limits():
     # expensive capacity pushes the slack toward zero
     assert cost_beta_star(1000.0) < 0.05
