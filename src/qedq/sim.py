@@ -1,28 +1,40 @@
 """Stochastic validation engine.
 
-Discrete-event simulation of the Markovian queue family, the
-bulk-service recursion, and Euler-Maruyama integration of the
-piecewise-linear diffusion limits.  Every analytic quantity in the
-package has a counterpart estimator here.
+Simulation of the Markovian queue family, the bulk-service recursion,
+and Euler-Maruyama integration of the piecewise-linear diffusion limits.
+Every analytic quantity in the package has a counterpart estimator here.
 
-One event engine (``_event_rep``) runs the whole Markovian family: M/M/s,
+One engine (``_event_rep``) runs the whole Markovian family: M/M/s,
 finite buffer, abandonment, and nonhomogeneous arrivals with a
 time-varying number of servers.  A constant-parameter model is the
 one-cell schedule with level s; models differ only in their arrival
-epochs and time-0 occupancy.
+epochs and time-0 occupancy.  Service is FCFS and non-preemptive, so a
+job's queue exit depends only on the jobs ahead of it: one pass over the
+jobs in arrival order, with a heap of the end times of the jobs in
+service, gives every job's queue exit and leave time, and each estimate
+is a numpy reduction over those per-job arrays.
 
 Randomness: counter-based Philox streams keyed by (seed, replication,
 purpose), so arrival/service/patience draws are mutually independent and
-replications can be computed in any order with identical results.
+replications can be computed in any order with identical results.  Each
+replication draws its service times in one block, ``exponential(1/mu)``
+per job, and its patience times likewise, ``exponential(1/theta)`` per
+job, from a patience stream built only when theta > 0.  By
+memorylessness this is equal in law to the clocks of an event-by-event
+simulation: a departure clock at rate busy * mu, and an abandonment
+clock at rate theta * queue with a uniformly chosen victim.
 Estimates carry standard errors across independent replications.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import heapq
+import itertools
 import json
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -54,6 +66,9 @@ __all__ = [
 _ARRIVAL, _SERVICE, _PATIENCE, _INIT = 0, 1, 2, 3
 
 _Z95 = 1.959963984540054
+
+# metrics that are ratios over the arrivals after the warm-up
+_PER_ARRIVAL = {"delay_prob", "mean_delay", "abandon_prob", "block_prob"}
 
 
 def _stream(seed: int, rep: int, purpose: int) -> np.random.Generator:
@@ -180,33 +195,45 @@ def _model_kind(model: Model) -> str:
     raise ConfigurationError("unknown model type %r" % (type(model),))
 
 
+@functools.lru_cache(maxsize=32)
+def _majorant(rate: RateFunction, horizon: float, cells: int) -> tuple:
+    """Cell edges and the per-cell maximum of the rate (read-only arrays).
+
+    Cached per (rate, horizon, cells): every ``RateFunction`` is a frozen,
+    hashable dataclass, and a profile or criterion run draws the same
+    rate thousands of times.
+    """
+    edges = np.linspace(0.0, horizon, cells + 1)
+    peak = np.array([rate.max_on(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])],
+                    dtype=float)
+    bad = np.flatnonzero(~np.isfinite(peak))
+    if len(bad):
+        i = int(bad[0])
+        raise ConfigurationError("rate unbounded on [%g, %g]" % (edges[i], edges[i + 1]))
+    edges.flags.writeable = False
+    peak.flags.writeable = False
+    return edges, peak
+
+
 def nhpp_arrivals(rate: RateFunction, horizon: float, rng: np.random.Generator,
                   cells: int = 64) -> np.ndarray:
     """Arrival epochs of a nonhomogeneous Poisson process on [0, horizon].
 
     Thinning against a piecewise-constant majorant (the exact per-cell
-    maximum of the rate); within each cell candidates are an ordinary
-    Poisson sample placed uniformly.
+    maximum of the rate): one Poisson count per cell, candidates placed
+    uniformly in their cell, and a candidate at t kept with probability
+    rate(t) / (its cell's maximum).  All cells are drawn at once.
     """
     if not (horizon > 0.0):
         raise DomainError("horizon must be positive, got %r" % (horizon,))
-    edges = np.linspace(0.0, horizon, cells + 1)
-    out = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        m = rate.max_on(float(a), float(b))
-        if not np.isfinite(m):
-            raise ConfigurationError("rate unbounded on [%g, %g]" % (a, b))
-        if m <= 0.0:
-            continue
-        n = rng.poisson(m * (b - a))
-        if n == 0:
-            continue
-        cand = rng.uniform(a, b, n)
-        keep = rng.uniform(0.0, m, n) < np.asarray(rate.rate(cand), dtype=float)
-        out.append(cand[keep])
-    if not out:
-        return np.empty(0)
-    return np.sort(np.concatenate(out))
+    edges, peak = _majorant(rate, float(horizon), int(cells))
+    width = np.diff(edges)
+    counts = rng.poisson(peak * width)
+    cell = np.repeat(np.arange(len(peak)), counts)
+    u = rng.uniform(size=(2, len(cell)))
+    cand = edges[cell] + width[cell] * u[0]
+    keep = u[1] * peak[cell] < np.asarray(rate.rate(cand), dtype=float)
+    return np.sort(cand[keep])
 
 
 def _homogeneous_arrivals(lam: float, horizon: float,
@@ -215,120 +242,142 @@ def _homogeneous_arrivals(lam: float, horizon: float,
     return np.sort(rng.uniform(0.0, horizon, n))
 
 
+class _Jobs(NamedTuple):
+    """One replication as per-job arrays, in arrival order.
+
+    The first ``n0`` jobs are the time-0 occupancy (epoch 0.0).  A
+    blocked job has ``exit`` and ``leave`` NaN; an abandoning job leaves
+    at its queue exit.
+    """
+
+    arrival: np.ndarray
+    exit: np.ndarray       # queue exit: service start or abandonment
+    leave: np.ndarray      # departure or abandonment
+    abandoned: np.ndarray  # bool
+    n0: int
+
+
 def _event_rep(arrivals: np.ndarray, mu: float, theta: float, nbuf: Optional[int],
                grid, levels, n0: int,
-               rng_s: np.random.Generator, rng_p: np.random.Generator,
-               horizon: float, warmup: float,
-               bins: Optional[tuple] = None, record: Optional[list] = None) -> dict:
-    """One replication of the Markovian queue family, event by event.
+               rng_s: np.random.Generator, rng_p: Optional[np.random.Generator]) -> _Jobs:
+    """One replication of the Markovian queue family, job by job.
 
-    Jobs arrive at the epochs ``arrivals``, need exponential(``mu``)
-    service and abandon the queue at rate ``theta`` (0: never); with
-    ``nbuf`` set, an arrival that finds ``nbuf`` jobs present is blocked.
-    ``levels[i]`` servers work on [grid[i], grid[i+1]), the last cell
-    open-ended.  Late switching: a server removed by the schedule finishes
-    its job in progress; added servers pull from the queue immediately.
-    ``n0`` jobs are present at time 0.
+    Jobs arrive at the epochs ``arrivals`` after ``n0`` jobs present at
+    time 0, need exponential(``mu``) service and abandon the queue after
+    an exponential(``theta``) patience (``theta`` 0: never, and ``rng_p``
+    is not used); with ``nbuf`` set, an arrival that finds ``nbuf`` jobs
+    present is blocked.  ``levels[i]`` servers work on
+    [grid[i], grid[i+1]), the last cell open-ended.
 
-    ``mean_delay`` averages the time in queue over every admitted job
-    that left the queue, so an abandoning job counts with its wait until
-    abandonment (the Little's-law definition mean_queue / lambda).
-    ``bins = (edges, delayed, arrivals)`` adds per-bin counts of arrival
-    epochs; ``record`` receives (time, occupancy, servers) after each event.
+    FCFS is non-preemptive, so a job's queue exit depends only on the
+    jobs ahead of it, and one pass in arrival order computes every job
+    from a heap of the end times of the jobs in service.  For job j with
+    epoch a: start from t = max(a, t_free), where t_free is the time the
+    pass last reached; drop the end times <= t, move the schedule pointer
+    past the grid points <= t, and while s(t) servers are still busy set
+    t to the next end time or grid point, whichever comes first.  If t is
+    after the job's patience deadline it abandons at the deadline and
+    takes no server; otherwise it starts at t.  Either way t_free = t.
+    Late switching falls out: a removed server stays in the heap until its
+    job ends, and an added server is found at its grid point.  With a
+    buffer, a second heap holds the leave times of the admitted jobs; an
+    arrival is blocked when ``nbuf`` of them are after its epoch.
+
+    The service and patience times are drawn in one block each, one per
+    job; exponential times are memoryless, so this is equal in law to the
+    departure and abandonment clocks of an event-by-event simulation.
     """
-    nlev = len(levels)
-    gi = int(np.searchsorted(grid, 0.0, side="right")) - 1
-    s = int(levels[max(gi, 0)])
-    t_bound = grid[gi + 1] if gi + 1 < nlev else math.inf
-    busy = min(n0, s)
-    queue: deque = deque([0.0] * (n0 - busy))
-    n_arr = len(arrivals)
-    t = 0.0
-    ai = 0
-    arrivals_seen = delayed = blocked = abandoned = served = 0
-    wait_sum = 0.0
-    area_queue = area_empty = area_above = 0.0
-    if bins is not None:
-        edges, bin_delayed, bin_arrivals = bins
-    if record is not None:
-        record.append((0.0, n0, s))
+    epochs = np.concatenate((np.zeros(n0), arrivals))
+    service = rng_s.exponential(1.0 / mu, len(epochs))
+    deadline = epochs + rng_p.exponential(1.0 / theta, len(epochs)) if theta > 0.0 else None
+    start = np.empty(len(epochs))       # NaN: blocked; inf: abandoned
+    grid = [float(g) for g in grid]
+    levels = [int(v) for v in levels]
+    k = bisect.bisect_right(grid, 0.0)  # index of the next grid point
+    s = levels[max(k - 1, 0)]
+    t_bound = grid[k] if k < len(grid) else math.inf
+    busy: list = []                     # end times of the jobs in service
+    present: list = []                  # leave times of the admitted jobs (buffer only)
+    t_free = 0.0
+    patience = deadline.tolist() if deadline is not None else itertools.repeat(math.inf)
+    for j, (a, svc, due) in enumerate(zip(epochs.tolist(), service.tolist(), patience)):
+        if nbuf is not None:
+            while present and present[0] <= a:
+                heapq.heappop(present)
+            if len(present) >= nbuf:
+                start[j] = math.nan
+                continue
+        t = a if a > t_free else t_free
+        while True:
+            while busy and busy[0] <= t:
+                heapq.heappop(busy)
+            while t >= t_bound:
+                s = levels[k]
+                k += 1
+                t_bound = grid[k] if k < len(grid) else math.inf
+            if len(busy) < s:
+                break
+            t = busy[0] if busy[0] < t_bound else t_bound
+        t_free = t
+        if t > due:
+            start[j] = math.inf
+            if nbuf is not None:
+                heapq.heappush(present, due)
+            continue
+        start[j] = t
+        heapq.heappush(busy, t + svc)
+        if nbuf is not None:
+            heapq.heappush(present, t + svc)
+    abandoned = np.isinf(start)
+    exit_ = np.where(abandoned, deadline, start) if deadline is not None else start
+    return _Jobs(epochs, exit_, np.where(abandoned, exit_, start + service), abandoned, n0)
 
-    while True:
-        q = len(queue)
-        t_dep = t + rng_s.exponential(1.0 / (mu * busy)) if busy > 0 else math.inf
-        t_ab = t + rng_p.exponential(1.0 / (theta * q)) if theta * q > 0.0 else math.inf
-        t_arr = arrivals[ai] if ai < n_arr else math.inf
-        t_next = min(t_arr, t_dep, t_ab, t_bound, horizon)
-        if t_next > warmup:
-            dt = t_next - max(t, warmup)
-            if dt > 0.0:
-                area_queue += q * dt
-                if q > 0:
-                    area_above += dt
-                elif busy == 0:
-                    area_empty += dt
-        t = t_next
-        if t >= horizon:
-            break
-        if t_next == t_arr:
-            post = t > warmup
-            if post:
-                arrivals_seen += 1
-            if bins is not None:
-                b = min(int(np.searchsorted(edges, t, side="right")) - 1, len(bin_arrivals) - 1)
-                if b >= 0:
-                    bin_arrivals[b] += 1
-            if nbuf is not None and busy + q >= nbuf:
-                if post:
-                    blocked += 1
-            elif busy < s:
-                busy += 1
-                if post:
-                    served += 1
-            else:
-                queue.append(t)
-                if post:
-                    delayed += 1
-                if bins is not None and b >= 0:
-                    bin_delayed[b] += 1
-            ai += 1
-        elif t_next == t_dep:
-            busy -= 1
-            if queue and busy < s:
-                at = queue.popleft()
-                busy += 1
-                if at > warmup:
-                    wait_sum += t - at
-                    served += 1
-        elif t_next == t_ab:
-            i = int(rng_p.integers(len(queue)))
-            at = queue[i]
-            del queue[i]
-            if at > warmup:
-                wait_sum += t - at
-                abandoned += 1
-        else:  # schedule boundary
-            gi += 1
-            s = int(levels[gi])
-            t_bound = grid[gi + 1] if gi + 1 < nlev else math.inf
-            while queue and busy < s:
-                at = queue.popleft()
-                busy += 1
-                if at > warmup:
-                    wait_sum += t - at
-                    served += 1
-        if record is not None:
-            record.append((t, busy + len(queue), s))
 
+def _covered(start: np.ndarray, end: np.ndarray, lo: float, hi: float) -> tuple:
+    """Lengths of (lo, hi] inside and outside the union of the intervals
+    [start, end), whose starts are sorted.
+
+    With sorted starts the union up to interval j reaches the running
+    maximum of the ends, so one cumulative maximum gives both the new
+    length each interval covers and the gap before it.
+    """
+    a = np.clip(start, lo, hi)
+    reach = np.maximum.accumulate(np.concatenate(([lo], np.clip(end, lo, hi))))
+    inside = np.maximum(reach[1:] - np.maximum(a, reach[:-1]), 0.0).sum()
+    outside = np.maximum(a - reach[:-1], 0.0).sum() + (hi - reach[-1])
+    return float(inside), float(outside)
+
+
+def _rep_metrics(jobs: _Jobs, warmup: float, horizon: float) -> dict:
+    """The estimates of one replication, as reductions over its jobs.
+
+    Per-arrival ratios count the arrivals after the warm-up.
+    ``mean_delay`` averages the time in queue over the admitted jobs that
+    left the queue before the horizon, so an abandoning job counts with
+    its wait until abandonment (the Little's-law definition
+    mean_queue / lambda).  The time averages run over (warm-up, horizon]:
+    the queue holds job j on [arrival, exit), the system on
+    [arrival, leave).
+    """
     span = horizon - warmup
+    admitted = ~np.isnan(jobs.exit)
+    a, x = jobs.arrival[admitted], jobs.exit[admitted]
+    post = a > warmup
+    seen = int(np.count_nonzero(jobs.arrival > warmup))
+    entered = int(np.count_nonzero(post))
+    out = post & (x < horizon)
+    waited, _ = _covered(a, x, warmup, horizon)
+    _, empty = _covered(a, jobs.leave[admitted], warmup, horizon)
+    queued = np.clip(x, warmup, horizon) - np.clip(a, warmup, horizon)
     return {
-        "delay_prob": delayed / max(arrivals_seen - blocked, 1),
-        "mean_delay": wait_sum / max(served + abandoned, 1),
-        "p_empty": area_empty / span,
-        "mean_queue": area_queue / span,
-        "frac_above_zero": area_above / span,
-        "abandon_prob": abandoned / max(arrivals_seen - blocked, 1),
-        "block_prob": blocked / max(arrivals_seen, 1),
+        "arrivals": seen,
+        "delay_prob": np.count_nonzero(post & (x > a)) / max(entered, 1),
+        "mean_delay": float((x[out] - a[out]).sum()) / max(int(np.count_nonzero(out)), 1),
+        "p_empty": empty / span,
+        "mean_queue": float(queued.sum()) / span,
+        "frac_above_zero": waited / span,
+        "abandon_prob": np.count_nonzero(out & jobs.abandoned[admitted]) / max(entered, 1),
+        "block_prob": (seen - entered) / max(seen, 1),
     }
 
 
@@ -354,13 +403,13 @@ def _mt_initial_cdf(model: TimeVaryingModel) -> np.ndarray:
 
 
 def _event_reps(model: Union[QueueModel, TimeVaryingModel], horizon: float,
-                warmup: float, seed: int, replications: int,
-                initial: Optional[int] = None,
-                bins: Optional[tuple] = None, record: Optional[list] = None) -> list:
-    """Replications 0..replications-1 of a QueueModel or TimeVaryingModel.
+                seed: int, replications: int, initial: Optional[int] = None):
+    """Replications 0..replications-1 of a QueueModel or TimeVaryingModel,
+    one ``_Jobs`` at a time.
 
     ``initial`` is the time-0 occupancy; by default a QueueModel starts
-    empty and a TimeVaryingModel draws it from ``_mt_initial_cdf``.
+    empty and a TimeVaryingModel draws it from ``_mt_initial_cdf``.  The
+    patience stream is built only when jobs abandon.
     """
     if isinstance(model, QueueModel):
         theta, nbuf, lam = model.theta or 0.0, model.n, model.lam
@@ -370,17 +419,15 @@ def _event_reps(model: Union[QueueModel, TimeVaryingModel], horizon: float,
         theta, nbuf, lam = 0.0, None, getattr(model.rate, "level", None)
         grid, levels = model.schedule.grid, model.schedule.levels
         cdf0 = _mt_initial_cdf(model) if initial is None else None
-    reps = []
     for r in range(replications):
         rng_a = _stream(seed, r, _ARRIVAL)
         arrivals = _homogeneous_arrivals(lam, horizon, rng_a) if lam is not None \
             else nhpp_arrivals(model.rate, horizon, rng_a)
         n0 = initial if initial is not None \
             else int(np.searchsorted(cdf0, _stream(seed, r, _INIT).uniform()))
-        reps.append(_event_rep(arrivals, model.mu, theta, nbuf, grid, levels, n0,
-                               _stream(seed, r, _SERVICE), _stream(seed, r, _PATIENCE),
-                               horizon, warmup, bins, record))
-    return reps
+        yield _event_rep(arrivals, model.mu, theta, nbuf, grid, levels, n0,
+                         _stream(seed, r, _SERVICE),
+                         _stream(seed, r, _PATIENCE) if theta > 0.0 else None)
 
 
 def _bulk_walk(model: BulkModel, periods: int, seed: int, rep: int) -> np.ndarray:
@@ -475,8 +522,13 @@ def simulate(config: SimConfig, metrics: Iterable[str]) -> dict:
     else:
         if kind == "mms" and config.model.rho >= 1.0:
             warnings.warn("rho >= 1: no steady state; estimates are transient only")
-        reps = _event_reps(config.model, config.horizon, config.warmup, config.seed,
-                           config.replications)
+        reps = [_rep_metrics(jobs, config.warmup, config.horizon)
+                for jobs in _event_reps(config.model, config.horizon, config.seed,
+                                        config.replications)]
+        undefined = sorted(_PER_ARRIVAL.intersection(names))
+        if undefined and not any(r["arrivals"] for r in reps):
+            raise ConfigurationError("no arrival after the warm-up in any replication: "
+                                     "%s undefined" % ", ".join(undefined))
 
     return {m: SimEstimate.from_reps(np.array([r[m] for r in reps])) for m in names}
 
@@ -494,14 +546,40 @@ def time_varying_delay_profile(config: SimConfig, bin_width: float = 1.0) -> Tim
         raise DomainError("bin_width must be positive")
     edges = np.arange(0.0, config.horizon + bin_width, bin_width)
     nb = len(edges) - 1
-    delayed = np.zeros(nb)
-    arrivals = np.zeros(nb)
-    _event_reps(config.model, config.horizon, config.warmup, config.seed,
-                config.replications, bins=(edges, delayed, arrivals))
     mids = edges[:-1] + bin_width / 2.0
     keep = mids > config.warmup
+    if not keep.any():
+        raise ConfigurationError("no profile bin midpoint after the warm-up %g "
+                                 "(horizon %g, bin width %g)"
+                                 % (config.warmup, config.horizon, bin_width))
+    delayed = np.zeros(nb)
+    arrivals = np.zeros(nb)
+    for jobs in _event_reps(config.model, config.horizon, config.seed, config.replications):
+        a = jobs.arrival[jobs.n0:]
+        b = np.minimum(np.searchsorted(edges, a, side="right") - 1, nb - 1)
+        arrivals += np.bincount(b, minlength=nb)
+        delayed += np.bincount(b[jobs.exit[jobs.n0:] > a], minlength=nb)
     p = delayed[keep] / np.maximum(arrivals[keep], 1.0)
     return TimeVaryingProfile(bin_mid=mids[keep], delay_prob=p, arrivals=arrivals[keep])
+
+
+def _occupancy_path(jobs: _Jobs, grid: np.ndarray, horizon: float) -> tuple:
+    """Times and values of the number of jobs present, from 0 up to the
+    horizon: one point at time 0, then one after each arrival, departure,
+    abandonment and grid point, in time order."""
+    admitted = ~np.isnan(jobs.exit)
+    ups = jobs.arrival[admitted]
+    downs = jobs.leave[admitted]
+    downs = downs[downs < horizon]
+    marks = grid[(grid > 0.0) & (grid < horizon)]
+    t = np.concatenate((ups, downs, marks))
+    step = np.repeat(np.array([1, -1, 0]), (len(ups), len(downs), len(marks)))
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    n = np.cumsum(step[order])
+    first = int(np.searchsorted(t, 0.0, side="right"))  # time-0 jobs set the first value
+    n_start = n[first - 1] if first else 0
+    return np.concatenate(([0.0], t[first:])), np.concatenate(([n_start], n[first:])).astype(float)
 
 
 def sample_path(config: SimConfig, centered: bool = False) -> SamplePath:
@@ -539,10 +617,16 @@ def sample_path(config: SimConfig, centered: bool = False) -> SamplePath:
         vals = _bulk_walk(model, periods, config.seed, 0).astype(float)
         levels = float(model.s)
     else:
-        rec: list = []
-        _event_reps(model, config.horizon, 0.0, config.seed, 1, record=rec,
-                    initial=int(model.s) if kind != "mt" else None)
-        times, vals, levels = (np.array(col, dtype=float) for col in zip(*rec))
+        jobs = next(_event_reps(model, config.horizon, config.seed, 1,
+                                initial=int(model.s) if kind != "mt" else None))
+        if kind == "mt":
+            grid = model.schedule.grid
+            times, vals = _occupancy_path(jobs, grid, config.horizon)
+            cell = np.maximum(np.searchsorted(grid, times, side="right") - 1, 0)
+            levels = model.schedule.levels[cell].astype(float)
+        else:
+            times, vals = _occupancy_path(jobs, np.empty(0), config.horizon)
+            levels = float(model.s)
     kept = levels if kind == "mt" else None
     if centered:
         return SamplePath(times, (vals - levels) / np.sqrt(levels), "centered_scaled", kept)

@@ -178,10 +178,13 @@ def test_simulate_mmsm(capsys):
      "--grid-step", "0"),
     ("--model", "bulk", "--lambda", "1", "--servers", "2", "--periods", "1", "--reps", "4"),
     ("--model", "hw", "--beta", "1", "--horizon", "0.001", "--reps", "2"),
+    ("--model", "mt", "--rate", "constant:10", "--schedule", "psa", "--epsilon", "0.2",
+     "--horizon", "1", "--warmup", "0.9", "--reps", "2"),
 ])
 def test_simulate_empty_setup_is_usage_error(capsys, argv):
-    # a zero grid step, or a run with no bulk period or diffusion step after
-    # warm-up (a quarter period per replication; half an Euler step), exits 2
+    # a zero grid step, or a run with no bulk period, diffusion step or
+    # delay-profile bin after warm-up (a quarter period per replication; half
+    # an Euler step; the only bin's midpoint 0.5 is inside a 0.9 warm-up), exits 2
     code, out, err = run_cli(capsys, "simulate", *argv)
     assert code == 2
     assert out == ""
