@@ -3,10 +3,14 @@
 Covers the Erlang loss and delay formulas (including their extension to
 real server counts), full stationary measures of M/M/s, the
 finite-buffer M/M/s/n, and the abandonment model M/M/s+M.  Erlang B/C and
-the M/M/s and M/M/s+M laws are closed forms on scipy ufuncs, built on the
-one Poisson pmf of ``qedq.special``; Erlang B is the same formula
-p(s) / Q(s+1, load) at integer and real s.  M/M/s/n goes through the
-generic birth-death solver.
+the M/M/s, M/M/s/n and M/M/s+M laws are closed forms on scipy ufuncs,
+built on the one Poisson pmf of ``qedq.special``; Erlang B is the same
+formula p(s) / Q(s+1, load) at integer and real s, and broadcasts over
+arrays of s and load.  The three laws are built only from the state
+floor up (``_state_floor``): in the QED regime the mass lies within
+O(sqrt(load)) states of the mode, and the weights below the floor are
+0.0 in double precision.  The generic birth-death solver stays as the
+public tool for other chains and as the tests' reference.
 
 Conventions: ``load`` always means offered load lambda/mu.  ``mean_delay``
 is queueing time only (no service), ``mean_queue`` counts waiting jobs
@@ -118,8 +122,9 @@ def _erlang_b_recursion(s: int, load: float) -> float:
     return b
 
 
-def _erlang_b(s, load: float):
-    """Erlang B at an int, a float (real s) or an integer array ``s``.
+def _erlang_b(s, load):
+    """Erlang B at an int, a float (real s) or an integer array ``s``, and
+    a float or float array ``load`` that broadcasts with ``s``.
 
     B = p(s) / Q(s+1, load): the Poisson(load) pmf over the regularized
     upper incomplete gamma, which at integer s is the Poisson cdf.  At
@@ -127,28 +132,30 @@ def _erlang_b(s, load: float):
     1/B = load int_0^inf e^(-load t) (1+t)^s dt = e^load load^(-s)
     Gamma(s+1, load).  Integer s <= 40, and integer s whose Q underflows,
     take the recursion instead.  A real s must exceed the load, so that Q
-    stays near 1.
+    stays near 1.  Scalar and array calls go through the same ufuncs,
+    ``np.exp`` included, so they agree to the last bit.
     """
-    if isinstance(s, np.ndarray):
-        x = s.astype(float).ravel()
-        q = _sp.gammaincc(x + 1.0, load)
+    if isinstance(s, np.ndarray) or isinstance(load, np.ndarray):
+        x, a = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(load, dtype=float))
+        shape, x, a = x.shape, x.ravel(), a.ravel()
+        q = _sp.gammaincc(x + 1.0, a)
         with np.errstate(divide="ignore", invalid="ignore"):
-            b = np.exp(_poisson_log_pmf(x, load)) / q
+            b = np.exp(_poisson_log_pmf(x, a)) / q
         for i in np.flatnonzero((x <= _RECURSION_MAX_S) | ~(q >= _CDF_MIN)):
-            b[i] = _erlang_b_recursion(int(x[i]), load)
-        return b.reshape(s.shape)
+            b[i] = _erlang_b_recursion(int(x[i]), float(a[i]))
+        return b.reshape(shape)
     if s <= _RECURSION_MAX_S and isinstance(s, int):
         return _erlang_b_recursion(s, load)
     q = float(_sp.gammaincc(s + 1.0, load))
     if q < _CDF_MIN and isinstance(s, int):
         return _erlang_b_recursion(s, load)
-    return math.exp(_poisson_log_pmf(float(s), load)) / q
+    return float(np.exp(_poisson_log_pmf(float(s), load))) / q
 
 
-def _erlang_c(s, load: float):
+def _erlang_c(s, load):
     """Erlang C from Erlang B as C = B / (1 - rho (1 - B)), which stays
-    defined when B underflows to 0 (C is then 0.0); ``s`` as for
-    :func:`_erlang_b`, with s > load."""
+    defined when B underflows to 0 (C is then 0.0); ``s`` and ``load`` as
+    for :func:`_erlang_b`, with s > load."""
     b = _erlang_b(s, load)
     rho = load / s
     return b / (1.0 - rho * (1.0 - b))
@@ -216,14 +223,42 @@ def erlang_c_real(s: float, load: float) -> float:
     return _erlang_c(s, load)
 
 
+# exp() of a log-weight this far below the largest one is 0.0: the
+# smallest subnormal is exp(-745.1), and the margin covers rounding.
+_UNDERFLOW_LOG = -760.0
+
+
+def _state_floor(load: float, s: int) -> int:
+    """A state below which every stationary weight of M/M/s, M/M/s/n or
+    M/M/s+M is 0.0 after ``exp(logw - max)``; 0 when there is none.
+
+    In all three chains the birth rate is constant and the death rate
+    nondecreasing, so the law is log-concave and unimodal.  Up to s the
+    weights are Poisson(load), rising up to c = min(floor(load), s), so the
+    mode is at or above c and every state up to k0 = c - sqrt(1600 c)
+    weighs at most p(k0) / p(c) of the largest weight.  One pmf check
+    shows whether that ratio underflows; in the QED regime it does once c
+    exceeds a few thousand, and the states below k0 (most of them at
+    large load) need not be built.
+    """
+    c = min(math.floor(load), s)
+    k0 = math.floor(c - math.sqrt(1600.0 * c))
+    if k0 > 0 and (_poisson_log_pmf(float(k0), load) - _poisson_log_pmf(float(c), load)
+                   < _UNDERFLOW_LOG):
+        return k0
+    return 0
+
+
 def mms_pi(load: float, s: int, abs_tol: float = 1e-12) -> tuple[np.ndarray, float]:
     """Stationary distribution of M/M/s, truncated with reported tail mass.
 
     States 0..s carry the Poisson(load) weights; above s the law is geometric
-    with ratio rho = load/s.  The returned array covers 0..s + m, where
-    m is the smallest count that leaves a remaining mass below
-    ``abs_tol``, capped at ``SeriesControl().max_terms`` so that rho near
-    1 cannot exhaust memory.  The exact geometric remainder
+    with ratio rho = load/s.  States below ``_state_floor`` are 0.0 in
+    double precision and are zero-filled, not computed.  The returned
+    array covers 0..s + m, where m is the smallest count that leaves a
+    remaining mass below ``abs_tol``, capped at
+    ``SeriesControl().max_terms`` so that rho near 1 cannot exhaust
+    memory.  The exact geometric remainder
     pi_s rho^(m+1) / (1 - rho) is returned as the tail mass, so
     ``pi.sum() + tail_mass == 1`` up to rounding, also when the cap binds.
     """
@@ -232,14 +267,23 @@ def mms_pi(load: float, s: int, abs_tol: float = 1e-12) -> tuple[np.ndarray, flo
     if load >= s:
         raise InstabilityError("M/M/s unstable: load %r >= s=%r" % (load, s))
     rho = load / s
-    logw = _poisson_log_pmf(np.arange(s + 1, dtype=float), load)
+    lo = _state_floor(load, s)
+    logw = _poisson_log_pmf(np.arange(lo, s + 1, dtype=float), load)
     # normalization: sum_{k<=s} p(k) + p(s) * rho/(1-rho)
     log_norm = np.logaddexp(_sp.logsumexp(logw), logw[-1] + math.log(rho / (1.0 - rho)))
     extra = math.ceil((math.log(abs_tol) + log_norm - logw[-1] + math.log(1.0 - rho))
                       / math.log(rho))
     extra = min(max(extra, 1), SeriesControl().max_terms)
-    logq = logw[-1] + np.arange(1, extra + 1) * math.log(rho)
-    pi = np.exp(np.concatenate([logw, logq]) - log_norm)
+    # log-weights, then weights, in place: the geometric tail may hold
+    # SeriesControl().max_terms states
+    pi = np.zeros(s + 1 + extra)
+    pi[lo:s + 1] = logw
+    tail = pi[s + 1:]
+    np.multiply(np.arange(1.0, extra + 1), math.log(rho), out=tail)
+    tail += logw[-1]
+    mass = pi[lo:]
+    mass -= log_norm
+    np.exp(mass, out=mass)
     tail_mass = math.exp(logw[-1] - log_norm + (extra + 1) * math.log(rho)) / (1.0 - rho)
     return pi, tail_mass
 
@@ -351,22 +395,28 @@ def solve_birth_death(
 def mmsn_measures(model: QueueModel) -> StationaryMeasures:
     """Steady-state measures of the finite-capacity M/M/s/n queue.
 
-    The delay probability counts admitted jobs only: by PASTA it equals
+    The state weights are closed forms: the Poisson(load) pmf up to s and
+    p(s) rho^(k-s) from s to n.  States below ``_state_floor`` are 0.0 in
+    double precision and are zero-filled, not computed.  The delay
+    probability counts admitted jobs only: by PASTA it equals
     P(s <= Q < n) / (1 - P(Q = n)).
     """
     if model.n is None:
         raise DomainError("mmsn_measures expects a finite-buffer model")
     s, n = int(model.s), int(model.n)
-    birth = np.full(n, model.lam)
-    death = model.mu * np.minimum(np.arange(1, n + 1), s)
-    pi = solve_birth_death(birth, death).pi
+    lo = _state_floor(model.load, s)
+    logw = _poisson_log_pmf(np.arange(lo, s + 1, dtype=float), model.load)
+    logw = np.concatenate([logw, logw[-1] + np.arange(1, n - s + 1) * math.log(model.rho)])
+    w = np.exp(logw - logw.max())
+    pi = np.zeros(n + 1)
+    pi[lo:] = w / w.sum()
     block = float(pi[n])
     admitted = 1.0 - block
     delay = float(pi[s:n].sum()) / admitted
-    k = np.arange(n + 1)
-    mean_queue = float(np.sum(np.maximum(k - s, 0) * pi))
+    k = np.arange(lo, n + 1)
+    mean_queue = float(np.sum(np.maximum(k - s, 0) * pi[lo:]))
     mean_delay = mean_queue / (model.lam * admitted)
-    util = float(np.sum(np.minimum(k, s) * pi)) / s
+    util = float(np.sum(np.minimum(k, s) * pi[lo:])) / s
     return StationaryMeasures(
         delay_prob=delay,
         mean_delay=mean_delay,
@@ -378,8 +428,10 @@ def mmsn_measures(model: QueueModel) -> StationaryMeasures:
     )
 
 
-def _erlang_a_log_weights(lam: float, mu: float, theta: float, s: int, n: int) -> np.ndarray:
-    """Log-weights of states 0..n-1 of M/M/s+M, up to a common constant.
+def _erlang_a_log_weights(lam: float, mu: float, theta: float, s: int,
+                          lo: int, n: int) -> np.ndarray:
+    """Log-weights of states lo..n-1 of M/M/s+M, up to a common constant;
+    lo <= s.
 
     For k <= s the weight is P(Pois(a) = k), a = lam/mu, from
     ``qedq.special``'s one Poisson pmf.  Beyond s it is
@@ -388,7 +440,7 @@ def _erlang_a_log_weights(lam: float, mu: float, theta: float, s: int, n: int) -
     sums stay small.  Neither part cancels terms of size a log a, so the
     weights keep about 1e-13 relative accuracy at s = 1e5.
     """
-    logw = _poisson_log_pmf(np.arange(min(n, s + 1), dtype=float), lam / mu)
+    logw = _poisson_log_pmf(np.arange(lo, min(n, s + 1), dtype=float), lam / mu)
     if n <= s + 1:
         return logw
     j = np.arange(1, n - s, dtype=float)
@@ -400,12 +452,16 @@ def _erlang_a_log_weights(lam: float, mu: float, theta: float, s: int, n: int) -
 def erlang_a_measures(model: QueueModel, control: SeriesControl | None = None) -> StationaryMeasures:
     """Steady-state measures of the M/M/s+M (abandonment) queue.
 
-    With theta > 0 the chain is stable for every load.  The log-weights of
-    all states are built in closed form (see ``_erlang_a_log_weights``)
-    and truncated by the stopping rule of :func:`solve_birth_death`: the
-    first state count n >= 11 at which the weight ratio r of the last two
-    states is below 1 and the geometric bound w_(n-1) r / (1 - r) on the
-    remaining mass is below ``control.abs_tol`` times the mass so far.
+    With theta > 0 the chain is stable for every load.  The log-weights
+    are built in closed form (see ``_erlang_a_log_weights``) from the
+    state floor up: below ``_state_floor``, about a - 40 sqrt(a) with
+    a = lambda/mu in the QED regime, every weight is 0.0 in double
+    precision, so those states are zero-filled in ``pi``, not computed.
+    The weights are truncated by the stopping rule of
+    :func:`solve_birth_death`: the first state count n >= 11 at which the
+    weight ratio r of the last two states is below 1 and the geometric
+    bound w_(n-1) r / (1 - r) on the remaining mass is below
+    ``control.abs_tol`` times the mass so far.
     That bound is reported as ``tail_mass`` (a share of the total), so
     ``pi.sum() + tail_mass == 1``.  ``control.max_terms`` caps the last
     state; it defaults to m + 200 sqrt(max(m, lambda / theta)) + 200,
@@ -432,19 +488,21 @@ def erlang_a_measures(model: QueueModel, control: SeriesControl | None = None) -
         cap = mode + int(math.ceil(200.0 * spread)) + 200
         control = SeriesControl(abs_tol=1e-12, max_terms=cap)
     n_max = control.max_terms + 1
+    lo = min(_state_floor(lam / mu, s), n_max - 2)
     n = min(n_max, s + 8 * int(math.ceil(math.sqrt(s))) + 64)
     while True:
-        logw = _erlang_a_log_weights(lam, mu, theta, s, n)
+        logw = _erlang_a_log_weights(lam, mu, theta, s, lo, n)
         w = np.exp(logw - logw.max())
         with np.errstate(over="ignore", divide="ignore"):
             ratio = np.exp(np.diff(logw))
             rem = w[1:] * ratio / (1.0 - ratio)
-        # candidate state counts m = 2..n; the rule applies from m = 11
+        # candidate j stands for the state count m = lo + j + 2; the rule
+        # applies from m = 11
         stop = (ratio < 1.0) & (rem < control.abs_tol * np.cumsum(w)[1:])
-        stop[:9] = False
+        stop[:max(9 - lo, 0)] = False
         hits = np.flatnonzero(stop)
         if len(hits):
-            m = int(hits[0]) + 2
+            j = int(hits[0])
             break
         if n == n_max:
             if ratio[-1] >= 1.0:
@@ -454,15 +512,16 @@ def erlang_a_measures(model: QueueModel, control: SeriesControl | None = None) -
                 "birth-death solver did not reach tail tolerance within %d states"
                 % control.max_terms)
         n = min(n_max, 2 * n)
-    total = w[:m].sum() + rem[m - 2]
-    pi = w[:m] / total
-    tail_mass = rem[m - 2] / total
-    k = np.arange(len(pi))
-    mean_queue = float(np.sum(np.maximum(k - s, 0) * pi))
+    total = w[:j + 2].sum() + rem[j]
+    pi = np.zeros(lo + j + 2)
+    pi[lo:] = w[:j + 2] / total
+    tail_mass = rem[j] / total
+    k = np.arange(lo, len(pi))
+    mean_queue = float(np.sum(np.maximum(k - s, 0) * pi[lo:]))
     abandon = theta * mean_queue / lam
     delay = float(pi[s:].sum())
     mean_delay = mean_queue / lam  # Little's law over the waiting room
-    util = float(np.sum(np.minimum(k, s) * pi)) / s
+    util = float(np.sum(np.minimum(k, s) * pi[lo:])) / s
     return StationaryMeasures(
         delay_prob=delay,
         mean_delay=mean_delay,

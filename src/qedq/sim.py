@@ -495,6 +495,9 @@ def simulate(config: SimConfig, metrics: Iterable[str]) -> dict:
 
     ``metrics`` must be applicable to the configured model; estimates are
     deterministic in (seed, replications) regardless of evaluation order.
+    Per-arrival metrics (``delay_prob``, ``mean_delay``, ``abandon_prob``,
+    ``block_prob``) average only the replications with an arrival after
+    the warm-up, and their ``replications`` field counts those.
     """
     kind = _model_kind(config.model)
     names = sorted(set(metrics))
@@ -525,10 +528,15 @@ def simulate(config: SimConfig, metrics: Iterable[str]) -> dict:
         reps = [_rep_metrics(jobs, config.warmup, config.horizon)
                 for jobs in _event_reps(config.model, config.horizon, config.seed,
                                         config.replications)]
+        # a replication with no arrival after the warm-up has no
+        # per-arrival ratio; those estimates average the others
+        with_arrivals = [r for r in reps if r["arrivals"]]
         undefined = sorted(_PER_ARRIVAL.intersection(names))
-        if undefined and not any(r["arrivals"] for r in reps):
+        if undefined and not with_arrivals:
             raise ConfigurationError("no arrival after the warm-up in any replication: "
                                      "%s undefined" % ", ".join(undefined))
+        return {m: SimEstimate.from_reps(np.array(
+            [r[m] for r in (with_arrivals if m in _PER_ARRIVAL else reps)])) for m in names}
 
     return {m: SimEstimate.from_reps(np.array([r[m] for r in reps])) for m in names}
 

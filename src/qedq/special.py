@@ -134,15 +134,17 @@ def _loader_saddle(k, mean):
 
 
 def _poisson_log_pmf(k, mean):
-    """log P(Pois(mean) = k) at real k >= 0, a float or a float array;
-    unchecked.  Log-gamma form up to k = 40, saddle-point form above (the
-    log-gamma form would lose 4e-10 relative at k = 3e5, 2e-9 at 1e6).
+    """log P(Pois(mean) = k) at real k >= 0 and mean > 0, floats or
+    arrays that broadcast together; unchecked.  Log-gamma form up to
+    k = 40, saddle-point form above (the log-gamma form would lose 4e-10
+    relative at k = 3e5, 2e-9 at 1e6).
     """
-    if isinstance(k, np.ndarray):
+    if isinstance(k, np.ndarray) or isinstance(mean, np.ndarray):
+        k, mean = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(mean, dtype=float))
         small = k <= _LOG_GAMMA_MAX_K
         logp = _loader_saddle(np.where(small, _LOG_GAMMA_MAX_K + 1.0, k), mean)
-        low = k[small]
-        logp[small] = _sp.xlogy(low, mean) - mean - _sp.gammaln(low + 1.0)
+        low, m = k[small], mean[small]
+        logp[small] = _sp.xlogy(low, m) - m - _sp.gammaln(low + 1.0)
         return logp
     if k > _LOG_GAMMA_MAX_K:
         return float(_loader_saddle(k, mean))

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import optimize as _opt
 
 from .errors import DomainError, InstabilityError
-from .exact import erlang_c, erlang_c_real
+from .exact import _erlang_c, erlang_c, erlang_c_real
 from .qed import _mills, delay_correction_coeff, qed_delay_prob
 from .special import normal_quantile, round_half_up
 
@@ -118,6 +118,38 @@ def staff_exact(lam: float, epsilon: float) -> StaffingSolution:
         s += 1
     return StaffingSolution(s=s, rule="exact", beta_used=None,
                             predicted=epsilon, achieved=erlang_c(s, lam))
+
+
+def _staff_exact_levels(loads: np.ndarray, epsilon: float) -> np.ndarray:
+    """``staff_exact(load, epsilon).s`` for each load > 0 in one Erlang C
+    call.
+
+    The scan of :func:`staff_exact` mostly moves a server or two from its
+    square-root guess g, so C is evaluated once over the window
+    g - 3 .. g + 3 of every load, and the scan is replayed on the window:
+    step down while C(s - 1) <= epsilon and s - 1 is stable, then up while
+    C(s) > epsilon.  A load whose scan would leave the window goes through
+    :func:`staff_exact`.  Scalar and array Erlang C agree to the last bit,
+    so the levels equal those of :func:`staff_exact`.
+    """
+    loads = np.asarray(loads, dtype=float)
+    stable = np.floor(loads).astype(np.int64) + 1
+    beta = beta_for_delay_target(epsilon)
+    guess = np.maximum(stable, np.ceil(loads + beta * np.sqrt(loads) - 1e-9).astype(np.int64))
+    cand = guess[:, None] + np.arange(-3, 4)
+    usable = cand >= stable[:, None]
+    c = np.full(cand.shape, np.inf)
+    c[usable] = _erlang_c(cand[usable], np.broadcast_to(loads[:, None], cand.shape)[usable])
+    ok = c <= epsilon
+    # steps down from g: the leading run of usable candidates g-1, g-2, g-3
+    # with C <= epsilon; steps up from g: the leading run of g, .., g+3
+    # with C > epsilon
+    down = np.cumprod(ok[:, 2::-1], axis=1).sum(axis=1)
+    up = np.cumprod(~ok[:, 3:], axis=1).sum(axis=1)
+    levels = np.where(down > 0, guess - down, guess + up)
+    for i in np.flatnonzero(((down == 3) & (guess - 4 >= stable)) | (up == 4)):
+        levels[i] = staff_exact(float(loads[i]), epsilon).s
+    return levels
 
 
 def staff_qed(lam: float, epsilon: float) -> StaffingSolution:

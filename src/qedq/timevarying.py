@@ -23,7 +23,7 @@ from typing import Literal, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .staffing import beta_for_delay_target, staff_exact
+from .staffing import _staff_exact_levels, beta_for_delay_target
 
 __all__ = [
     "RateFunction",
@@ -322,17 +322,20 @@ def _cell_midpoints(grid: np.ndarray) -> np.ndarray:
 def psa_schedule(rate: RateFunction, mu: float, epsilon: float,
                  grid: Sequence[float]) -> StaffingSchedule:
     """Pointwise-stationary schedule: staff each cell's instantaneous
-    stationary model exactly (minimal s with Erlang C <= epsilon)."""
+    stationary model exactly (minimal s with Erlang C <= epsilon, as
+    :func:`~qedq.staffing.staff_exact`; one server where the rate is 0).
+    All cells share one Erlang C evaluation."""
+    if not (0.0 < mu < math.inf):
+        raise DomainError("service rate must be positive and finite, got %r" % (mu,))
     mids = _cell_midpoints(np.asarray(grid, dtype=float))
-    lam = np.asarray(rate.rate(mids), dtype=float)
-    levels = []
-    for offered in lam / mu:
-        if offered <= 0.0:
-            levels.append(1)
-        else:
-            levels.append(staff_exact(offered, epsilon).s)
-    return StaffingSchedule(grid=np.asarray(grid, dtype=float),
-                            levels=np.asarray(levels, dtype=int),
+    offered = np.asarray(rate.rate(mids), dtype=float) / mu
+    if not np.all(np.isfinite(offered)):
+        raise DomainError("offered load is not finite on the grid")
+    levels = np.ones(len(offered), dtype=int)
+    busy = offered > 0.0
+    if busy.any():
+        levels[busy] = _staff_exact_levels(offered[busy], epsilon)
+    return StaffingSchedule(grid=np.asarray(grid, dtype=float), levels=levels,
                             method="PSA", epsilon=epsilon, mu=mu)
 
 

@@ -300,6 +300,46 @@ def test_mmsn_two_fold_scaling_limit():
     assert m.delay_prob == pytest.approx(finite_buffer_delay_limit(beta, gamma), abs=5e-3)
 
 
+@pytest.mark.parametrize("lam,s,n", [(1.0, 1, 1), (2.0, 3, 3), (5.0, 6, 6), (3.2, 4, 84),
+                                     (50.0, 40, 60), (1e4, 10050, 10150),
+                                     (1e5, 100316, 100949)])
+def test_mmsn_matches_birth_death_solver(lam, s, n):
+    # the closed-form weights, zero-filled below the state floor, against
+    # the generic solver's cumulative sum of log rate ratios
+    ref = solve_birth_death(np.full(n, lam), np.minimum(np.arange(1, n + 1), s).astype(float))
+    m = mmsn_measures(QueueModel(lam=lam, s=s, n=n))
+    assert len(m.pi) == len(ref.pi)
+    assert np.max(np.abs(m.pi - ref.pi)) < 1e-12
+
+
+def _erlang_a_gmr(lam, s, theta):
+    """M/M/s+M (mu = 1) in the incomplete-gamma form of Garnett, Mandelbaum
+    and Reiman (2002), at 40 digits: with a = s/theta, x = lam/theta and
+    S = 1F1(1; a+1; x), P(wait) = p(s; lam) S / (Q(s, lam) + p(s; lam) S)
+    and E[queue] = P(wait) ((x - a) + a/S)."""
+    with mpmath.workdps(40):
+        lam, s, theta = mpmath.mpf(lam), mpmath.mpf(s), mpmath.mpf(theta)
+        a, x = s / theta, lam / theta
+        big_s = mpmath.hyp1f1(1, a + 1, x)
+        p_s = mpmath.exp(s * mpmath.log(lam) - lam - mpmath.loggamma(s + 1))
+        q = mpmath.gammainc(s, lam, mpmath.inf, regularized=True)
+        wait = p_s * big_s / (q + p_s * big_s)
+        queue = wait * ((x - a) + a / big_s)
+        return float(wait), float(queue), float(theta * queue / lam)
+
+
+@pytest.mark.parametrize("lam,s,theta", [(1.0, 2, 1.0), (100.0, 100, 0.001),
+                                         (1000.0, 1000, 0.001), (90.0, 100, 0.5),
+                                         (1e5, 100000, 1.0)])
+def test_erlang_a_vs_incomplete_gamma_form(lam, s, theta):
+    wait, queue, abandon = _erlang_a_gmr(lam, s, theta)
+    m = erlang_a_measures(QueueModel(lam=lam, s=s, theta=theta))
+    assert m.delay_prob == pytest.approx(wait, rel=1e-9)
+    assert m.mean_queue == pytest.approx(queue, rel=1e-9)
+    assert m.abandon_prob == pytest.approx(abandon, rel=1e-9)
+    assert m.mean_delay == pytest.approx(queue / lam, rel=1e-9)
+
+
 def test_mmsn_domain():
     with pytest.raises(DomainError):
         QueueModel(lam=1.0, s=3, n=2)
@@ -339,7 +379,8 @@ def _erlang_a_reference(lam, s, theta, control):
 @pytest.mark.parametrize("lam,s,theta", [(1.0, 2, 1.0), (3.2, 4, 1e-9), (50.0, 55, 0.3),
                                          (100.0, 90, 5.0), (10.0, 1000, 1.0),
                                          (1000.0, 1030, 1.0), (100.0, 1, 0.01),
-                                         (100.0, 100, 0.001), (1000.0, 1000, 0.001)])
+                                         (100.0, 100, 0.001), (1000.0, 1000, 0.001),
+                                         (1e5, 100316, 1.0)])
 def test_erlang_a_matches_birth_death_solver(lam, s, theta):
     # the reference cap follows the default rule: the mode plus 200 spreads
     # sqrt(max(mode, lam/theta)), the second capped at 1e7
@@ -350,7 +391,11 @@ def test_erlang_a_matches_birth_death_solver(lam, s, theta):
     ref = _erlang_a_reference(lam, s, theta, control)
     m = erlang_a_measures(QueueModel(lam=lam, s=s, theta=theta))
     assert len(m.pi) == len(ref.pi)
-    assert np.max(np.abs(m.pi - ref.pi)) < 1e-12
+    # over 1e5 states the reference's running sum of log rate ratios
+    # drifts by about 1e-9 relative: at lam = 1e5 its pi is 1.2e-12 off a
+    # 40-digit Poisson pmf (theta = mu), the closed form 2e-18
+    tol = 1e-12 if len(ref.pi) < 50_000 else 5e-12
+    assert np.max(np.abs(m.pi - ref.pi)) < tol
     assert m.tail_mass == pytest.approx(ref.tail_mass, rel=1e-6)
     assert m.pi.sum() + m.tail_mass == pytest.approx(1.0, abs=1e-12)
 

@@ -224,6 +224,17 @@ def test_metric_validation():
     assert simulate(cfg, ["p_empty"])["p_empty"].point == 1.0
 
 
+def test_per_arrival_metrics_skip_empty_replications():
+    # 10 of these 20 replications hold no arrival; two of the other ten
+    # saw a delayed job (2 of 3 and 1 of 2 arrivals).  Per-arrival ratios
+    # average the ten, time averages all twenty.
+    cfg = SimConfig(model=QueueModel(lam=0.5, s=1), horizon=2.0, replications=20, seed=3)
+    est = simulate(cfg, ["delay_prob", "p_empty"])
+    assert est["delay_prob"].replications == 10
+    assert est["delay_prob"].point == pytest.approx((2.0 / 3.0 + 0.5) / 10.0, rel=1e-12)
+    assert est["p_empty"].replications == 20
+
+
 def test_unstable_model_flagged():
     cfg = SimConfig(model=QueueModel(lam=5.0, s=4), horizon=50.0,
                     replications=2, seed=1)

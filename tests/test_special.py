@@ -110,6 +110,12 @@ def test_poisson_log_pmf_vs_mpmath():
         assert _poisson_log_pmf(k, mean) == pytest.approx(want, rel=1e-14)
         assert got == pytest.approx(want, rel=1e-14)
     assert poisson_log_pmf(mean, 330000) == pytest.approx(ref[ks.index(330000.0)], rel=1e-14)
+    # array k with array mean, on both sides of k = 40
+    ks, means = np.array([5.0, 50.0, 0.0, 39.5, 1e4]), np.array([4.0, 60.0, 2.5, 1e3, 9.9e3])
+    with mpmath.workdps(50):
+        ref = [float(k * mpmath.log(m) - m - mpmath.loggamma(k + 1))
+               for k, m in zip(ks, map(mpmath.mpf, means))]
+    assert _poisson_log_pmf(ks, means) == pytest.approx(ref, rel=1e-14)
 
 
 @pytest.mark.parametrize("mean", [0.5, 1.0, 4.0, 20.0])

@@ -108,6 +108,28 @@ def test_psa_constant_rate_matches_staff_exact():
     assert np.all(sched.levels == staff_exact(25.0, 0.3).s)
 
 
+@pytest.mark.parametrize("eps", [1e-8, 1e-4, 0.05, 0.3, 0.8, 0.99])
+def test_psa_levels_equal_staff_exact(eps):
+    # zero-rate cells, loads below 40 (the Erlang B recursion) and loads up
+    # to 1e5, all in one schedule; at eps = 1e-8 the square-root guess is
+    # more than three servers off, so most cells leave the window
+    mu = 2.0
+    rate = SampledRate((0.0, 2.0, 4.0, 10.0, 16.0, 20.0), (0.0, 0.0, 80.0, 2e5, 1.0, 0.0))
+    grid = np.arange(0.0, 20.0, 0.125)
+    sched = psa_schedule(rate, mu, eps, grid)
+    want = [1 if x <= 0.0 else staff_exact(x / mu, eps).s for x in rate.rate(grid + 0.0625)]
+    assert list(sched.levels) == want
+
+
+def test_psa_schedule_rejects_bad_load():
+    grid = np.arange(3.0)
+    for mu in (0.0, -1.0, math.inf):
+        with pytest.raises(DomainError):
+            psa_schedule(ConstantRate(10.0), mu, 0.3, grid)
+    with pytest.raises(DomainError):
+        psa_schedule(ConstantRate(math.inf), 1.0, 0.3, grid)
+
+
 def _plateau_mid(levels, grid):
     top = levels.max()
     idx = np.where(levels == top)[0]
