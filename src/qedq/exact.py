@@ -249,12 +249,30 @@ def _state_floor(load: float, s: int) -> int:
     return 0
 
 
+def _state_ceiling(load: float, s: int) -> int:
+    """For M/M/s (load < s): a state above which every stationary weight
+    is 0.0 after ``exp(logw - max)``; s when there is none.
+
+    Past the mode c = floor(load) the weights fall, so every state above
+    k1 = c + sqrt(1600 c) + 760 weighs at most p(k1) / p(c) of the largest,
+    and one pmf check shows whether that underflows.  Without the 760 the
+    ratio is only e^-233 at c = 10 and e^-711 at c = 1e4.
+    """
+    c = math.floor(load)
+    k1 = math.ceil(c + math.sqrt(1600.0 * c)) + 760
+    if k1 < s and (_poisson_log_pmf(float(k1), load) - _poisson_log_pmf(float(c), load)
+                   < _UNDERFLOW_LOG):
+        return k1
+    return s
+
+
 def mms_pi(load: float, s: int, abs_tol: float = 1e-12) -> tuple[np.ndarray, float]:
     """Stationary distribution of M/M/s, truncated with reported tail mass.
 
     States 0..s carry the Poisson(load) weights; above s the law is geometric
-    with ratio rho = load/s.  States below ``_state_floor`` are 0.0 in
-    double precision and are zero-filled, not computed.  The returned
+    with ratio rho = load/s.  States below ``_state_floor`` and above
+    ``_state_ceiling`` are 0.0 in double precision and are zero-filled,
+    not computed.  The returned
     array covers 0..s + m, where m is the smallest count that leaves a
     remaining mass below ``abs_tol``, capped at
     ``SeriesControl().max_terms`` so that rho near 1 cannot exhaust
@@ -267,24 +285,27 @@ def mms_pi(load: float, s: int, abs_tol: float = 1e-12) -> tuple[np.ndarray, flo
     if load >= s:
         raise InstabilityError("M/M/s unstable: load %r >= s=%r" % (load, s))
     rho = load / s
-    lo = _state_floor(load, s)
-    logw = _poisson_log_pmf(np.arange(lo, s + 1, dtype=float), load)
+    lo, hi = _state_floor(load, s), _state_ceiling(load, s)
+    logw = _poisson_log_pmf(np.arange(lo, hi + 1, dtype=float), load)
+    log_ps = logw[-1] if hi == s else _poisson_log_pmf(float(s), load)
     # normalization: sum_{k<=s} p(k) + p(s) * rho/(1-rho)
-    log_norm = np.logaddexp(_sp.logsumexp(logw), logw[-1] + math.log(rho / (1.0 - rho)))
-    extra = math.ceil((math.log(abs_tol) + log_norm - logw[-1] + math.log(1.0 - rho))
+    log_norm = np.logaddexp(_sp.logsumexp(logw), log_ps + math.log(rho / (1.0 - rho)))
+    extra = math.ceil((math.log(abs_tol) + log_norm - log_ps + math.log(1.0 - rho))
                       / math.log(rho))
     extra = min(max(extra, 1), SeriesControl().max_terms)
     # log-weights, then weights, in place: the geometric tail may hold
     # SeriesControl().max_terms states
     pi = np.zeros(s + 1 + extra)
-    pi[lo:s + 1] = logw
-    tail = pi[s + 1:]
-    np.multiply(np.arange(1.0, extra + 1), math.log(rho), out=tail)
-    tail += logw[-1]
-    mass = pi[lo:]
+    pi[lo:hi + 1] = logw
+    if hi == s:  # else the geometric tail lies above the ceiling too
+        tail = pi[s + 1:]
+        np.multiply(np.arange(1.0, extra + 1), math.log(rho), out=tail)
+        tail += log_ps
+        hi = len(pi) - 1
+    mass = pi[lo:hi + 1]
     mass -= log_norm
     np.exp(mass, out=mass)
-    tail_mass = math.exp(logw[-1] - log_norm + (extra + 1) * math.log(rho)) / (1.0 - rho)
+    tail_mass = math.exp(log_ps - log_norm + (extra + 1) * math.log(rho)) / (1.0 - rho)
     return pi, tail_mass
 
 

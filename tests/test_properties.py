@@ -13,6 +13,7 @@ from qedq import (
     QueueModel,
     SinusoidRate,
     erlang_a_measures,
+    erlang_c,
     mms_measures,
     mmsn_measures,
     psa_schedule,
@@ -86,3 +87,9 @@ def test_psa_schedule_contract(base, swing, mu, eps):
     except QedqError:
         return
     assert sched.levels.dtype.kind == "i" and np.all(sched.levels >= 1)
+    # each busy cell gets the smallest stable level whose Erlang C meets eps
+    loads = SinusoidRate(base, swing * base, 24.0).rate(np.arange(0.5, 24.0, 1.0)) / mu
+    for load, level in zip(loads, sched.levels):
+        if load > 0.0:
+            assert erlang_c(int(level), load) <= eps, (load, level)
+            assert level - 1 <= load or erlang_c(int(level) - 1, load) > eps, (load, level)

@@ -35,12 +35,22 @@ def test_staff_exact_examples():
 
 
 def test_staff_exact_minimality():
-    for lam in (1.0, 3.2, 27.0, 311.0):
-        for eps in (0.05, 0.3, 0.8):
+    for lam in (1.0, 3.2, 27.0, 311.0, 1e5, 1e6):
+        for eps in (1e-12, 1e-8, 0.05, 0.3, 0.8):
             s = staff_exact(lam, eps).s
             assert erlang_c(s, lam) <= eps
             if s - 1 > lam:
                 assert erlang_c(s - 1, lam) > eps
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan, -1.0, 0.0])
+def test_staffing_rejects_bad_load(lam):
+    calls = (lambda: staff_exact(lam, 0.3), lambda: staff_qed(lam, 0.3),
+             lambda: cost_qed(lam, 1.0), lambda: cost_refined(lam, 1.0),
+             lambda: cost_exhaustive(lam, 1.0), lambda: StaffingProblem(lam, epsilon=0.3))
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_beta_for_delay_target():

@@ -108,11 +108,11 @@ def test_psa_constant_rate_matches_staff_exact():
     assert np.all(sched.levels == staff_exact(25.0, 0.3).s)
 
 
-@pytest.mark.parametrize("eps", [1e-8, 1e-4, 0.05, 0.3, 0.8, 0.99])
+@pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-4, 0.05, 0.3, 0.8, 0.99])
 def test_psa_levels_equal_staff_exact(eps):
     # zero-rate cells, loads below 40 (the Erlang B recursion) and loads up
-    # to 1e5, all in one schedule; at eps = 1e-8 the square-root guess is
-    # more than three servers off, so most cells leave the window
+    # to 1e5, all in one schedule; at eps = 1e-8 and 1e-12 every busy cell
+    # sits three to nine servers above the square-root guess
     mu = 2.0
     rate = SampledRate((0.0, 2.0, 4.0, 10.0, 16.0, 20.0), (0.0, 0.0, 80.0, 2e5, 1.0, 0.0))
     grid = np.arange(0.0, 20.0, 0.125)
