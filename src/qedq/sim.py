@@ -12,7 +12,9 @@ epochs and time-0 occupancy.  Service is FCFS and non-preemptive, so a
 job's queue exit depends only on the jobs ahead of it: one pass over the
 jobs in arrival order, with a heap of the end times of the jobs in
 service, gives every job's queue exit and leave time, and each estimate
-is a numpy reduction over those per-job arrays.
+is a numpy reduction over those per-job arrays.  The heap drops ended
+entries lazily: a start that finds it full with an ended entry on top
+replaces that entry, one heap operation per job.
 
 Randomness: counter-based Philox streams keyed by (seed, replication,
 purpose), so arrival/service/patience draws are mutually independent and
@@ -273,15 +275,23 @@ def _event_rep(arrivals: np.ndarray, mu: float, theta: float, nbuf: Optional[int
     jobs ahead of it, and one pass in arrival order computes every job
     from a heap of the end times of the jobs in service.  For job j with
     epoch a: start from t = max(a, t_free), where t_free is the time the
-    pass last reached; drop the end times <= t, move the schedule pointer
-    past the grid points <= t, and while s(t) servers are still busy set
-    t to the next end time or grid point, whichever comes first.  If t is
-    after the job's patience deadline it abandons at the deadline and
-    takes no server; otherwise it starts at t.  Either way t_free = t.
-    Late switching falls out: a removed server stays in the heap until its
-    job ends, and an added server is found at its grid point.  With a
-    buffer, a second heap holds the leave times of the admitted jobs; an
-    arrival is blocked when ``nbuf`` of them are after its epoch.
+    pass last reached; move the schedule pointer past the grid points
+    <= t, and while s(t) servers are still busy set t to the next end
+    time or grid point, whichever comes first.  If t is after the job's
+    patience deadline it abandons at the deadline and takes no server;
+    otherwise it starts at t.  Either way t_free = t.  Late switching
+    falls out: a removed server stays in the heap until its job ends, and
+    an added server is found at its grid point.  With a buffer, a second
+    heap holds the leave times of the admitted jobs; an arrival is
+    blocked when ``nbuf`` of them are after its epoch.
+
+    Both heaps are lazy.  An entry <= t has ended, and stays ended since
+    t never decreases, so it is kept until its slot is needed: a heap
+    with fewer than s (or ``nbuf``) entries has room for a push, and a
+    full one with an ended entry on top has room for one ``heapreplace``
+    of that entry.  Only a level drop pops, and only the ended entries
+    above the new level s.  A full heap whose top has not ended holds s
+    or more busy servers (``nbuf`` jobs present).
 
     The service and patience times are drawn in one block each, one per
     job; exponential times are memoryless, so this is equal in law to the
@@ -290,44 +300,47 @@ def _event_rep(arrivals: np.ndarray, mu: float, theta: float, nbuf: Optional[int
     epochs = np.concatenate((np.zeros(n0), arrivals))
     service = rng_s.exponential(1.0 / mu, len(epochs))
     deadline = epochs + rng_p.exponential(1.0 / theta, len(epochs)) if theta > 0.0 else None
-    start = np.empty(len(epochs))       # NaN: blocked; inf: abandoned
     grid = [float(g) for g in grid]
     levels = [int(v) for v in levels]
     k = bisect.bisect_right(grid, 0.0)  # index of the next grid point
     s = levels[max(k - 1, 0)]
     t_bound = grid[k] if k < len(grid) else math.inf
-    busy: list = []                     # end times of the jobs in service
-    present: list = []                  # leave times of the admitted jobs (buffer only)
+    push, replace, pop = heapq.heappush, heapq.heapreplace, heapq.heappop
+    start: list = []                    # NaN: blocked; inf: abandoned
+    put = start.append
+    busy: list = []                     # end times of the jobs in service, and ended ones
+    present: list = []                  # leave times of the admitted jobs, and past ones (buffer)
     t_free = 0.0
     patience = deadline.tolist() if deadline is not None else itertools.repeat(math.inf)
-    for j, (a, svc, due) in enumerate(zip(epochs.tolist(), service.tolist(), patience)):
+    for a, svc, due in zip(epochs.tolist(), service.tolist(), patience):
         if nbuf is not None:
-            while present and present[0] <= a:
-                heapq.heappop(present)
-            if len(present) >= nbuf:
-                start[j] = math.nan
+            room = len(present) < nbuf
+            if not room and present[0] > a:
+                put(math.nan)
                 continue
         t = a if a > t_free else t_free
         while True:
-            while busy and busy[0] <= t:
-                heapq.heappop(busy)
             while t >= t_bound:
                 s = levels[k]
                 k += 1
                 t_bound = grid[k] if k < len(grid) else math.inf
-            if len(busy) < s:
+            while len(busy) > s and busy[0] <= t:
+                pop(busy)
+            if len(busy) < s or busy[0] <= t:
                 break
             t = busy[0] if busy[0] < t_bound else t_bound
         t_free = t
         if t > due:
-            start[j] = math.inf
+            put(math.inf)
             if nbuf is not None:
-                heapq.heappush(present, due)
+                (push if room else replace)(present, due)
             continue
-        start[j] = t
-        heapq.heappush(busy, t + svc)
+        put(t)
+        end = t + svc
+        (push if len(busy) < s else replace)(busy, end)
         if nbuf is not None:
-            heapq.heappush(present, t + svc)
+            (push if room else replace)(present, end)
+    start = np.array(start, dtype=float)
     abandoned = np.isinf(start)
     exit_ = np.where(abandoned, deadline, start) if deadline is not None else start
     return _Jobs(epochs, exit_, np.where(abandoned, exit_, start + service), abandoned, n0)
@@ -381,6 +394,20 @@ def _rep_metrics(jobs: _Jobs, warmup: float, horizon: float) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=32)
+def _initial_cdf(load: float, s: int) -> np.ndarray:
+    """Cdf of the stationary M/M/s occupancy at ``load`` (a read-only array).
+
+    Cached per (load, s): a profile or criterion run draws the time-0
+    occupancy of the same model thousands of times, and each ``mms_pi``
+    call would rebuild the same law.
+    """
+    pi0, _ = mms_pi(load, s)
+    cdf = np.cumsum(pi0)
+    cdf.flags.writeable = False
+    return cdf
+
+
 def _mt_initial_cdf(model: TimeVaryingModel) -> np.ndarray:
     """Cdf of the time-0 occupancy: the stationary M/M/s(0) law at the
     model's initial offered load, so a warm-up of one service time
@@ -398,8 +425,7 @@ def _mt_initial_cdf(model: TimeVaryingModel) -> np.ndarray:
                       "the time-0 occupancy is drawn at load %.6g instead"
                       % (a0, s0, 0.99 * s0))
         a0 = 0.99 * s0
-    pi0, _ = mms_pi(max(a0, 1e-9), s0)
-    return np.cumsum(pi0)
+    return _initial_cdf(max(float(a0), 1e-9), s0)
 
 
 def _event_reps(model: Union[QueueModel, TimeVaryingModel], horizon: float,

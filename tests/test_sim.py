@@ -24,7 +24,8 @@ from qedq import (
     scaled_servers,
     simulate,
 )
-from qedq.sim import _event_rep, _rep_metrics, _stream, estimates_csv, estimates_json, path_csv
+from qedq.sim import (_event_rep, _initial_cdf, _mt_initial_cdf, _rep_metrics, _stream,
+                      estimates_csv, estimates_json, path_csv)
 
 Z99 = 2.5758293035489004
 
@@ -181,18 +182,35 @@ def _reference_jobs(epochs, service, deadline, nbuf, grid, levels):
     (0.0, None, (0.0, 3.0, 7.0, 11.0), (3, 1, 4, 2)),
     (1.0, 4, (0.0, 3.0, 7.0, 11.0), (3, 1, 4, 2)),
 ])
-def test_engine_matches_event_reference(theta, nbuf, grid, levels):
-    for r in range(10):
+def test_engine_matches_event_reference(theta, nbuf, grid, levels, count=40, span=15.0, reps=10):
+    for r in range(reps):
         rng = np.random.default_rng([r, 17])
-        arrivals = np.sort(rng.uniform(0.0, 15.0, 40))
+        arrivals = np.sort(rng.uniform(0.0, span, count))
         n0 = int(rng.integers(0, 4))
-        service = rng.exponential(1.0, 40 + n0)
-        patience = rng.exponential(1.0, 40 + n0) if theta else None
+        service = rng.exponential(1.0, count + n0)
+        patience = rng.exponential(1.0, count + n0) if theta else None
         jobs = _run(arrivals, service, patience, nbuf, grid, levels, n0)
         epochs = np.concatenate((np.zeros(n0), arrivals))
         deadline = epochs + patience if theta else np.full(len(epochs), np.inf)
         exits, leaves = _reference_jobs(epochs, service, deadline, nbuf, grid, levels)
         _assert_jobs(jobs, exits, leaves)
+
+
+# The cases above with 300 jobs; a separate test so that their ids stay.
+@pytest.mark.parametrize("theta,nbuf,grid,levels,span", [
+    # load near s: the heap of end times stays full, and a start replaces
+    # an ended entry on top
+    (0.0, None, (0.0,), (3,), 100.0),
+    (1.0, None, (0.0,), (3,), 100.0),
+    # levels that drop by two and three: the heap holds more than s
+    (0.0, None, (0.0, 25.0, 50.0, 75.0), (4, 1, 3, 1), 100.0),
+    (1.0, None, (0.0, 25.0, 50.0, 75.0), (4, 1, 3, 1), 100.0),
+    # a buffer that blocks again and again: the heap of leave times stays full
+    (0.0, 4, (0.0,), (3,), 90.0),
+    (1.0, 4, (0.0, 25.0, 50.0, 75.0), (4, 1, 3, 1), 90.0),
+])
+def test_engine_matches_event_reference_full_heaps(theta, nbuf, grid, levels, span):
+    test_engine_matches_event_reference(theta, nbuf, grid, levels, count=300, span=span, reps=4)
 
 
 def test_simulate_deterministic():
@@ -248,9 +266,15 @@ def test_mt_initial_load_clamp_warns():
                                 method="PSA", epsilon=0.3, mu=1.0)
     model = TimeVaryingModel(rate=qedq.ConstantRate(8.0), schedule=schedule)
     cfg = SimConfig(model=model, horizon=5.0, replications=2, seed=3)
-    with pytest.warns(UserWarning, match="initial offered load 8 >= s\\(0\\) = 6"):
-        est = simulate(cfg, ["mean_queue"])
-    assert math.isfinite(est["mean_queue"].point)
+    # the time-0 law is cached, the warning is not: each call warns
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="initial offered load 8 >= s\\(0\\) = 6"):
+            est = simulate(cfg, ["mean_queue"])
+        assert math.isfinite(est["mean_queue"].point)
+    with pytest.warns(UserWarning):
+        cdf = _mt_initial_cdf(model)
+    assert not cdf.flags.writeable
+    assert cdf is _initial_cdf(0.99 * 6, 6)
 
 
 def test_mms_simulation_covers_analytics():
