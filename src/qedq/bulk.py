@@ -130,11 +130,6 @@ def bulk_stationary(model: BulkModel) -> BulkStationary:
             "bulk series not converged within %d terms (lam close to s)"
             % control.max_terms
         )
-    if k0 > control.max_terms and (t_log >= control.abs_tol or t_mean >= control.abs_tol):
-        raise NumericalError(
-            "bulk series not converged within %d terms (lam close to s)"
-            % control.max_terms
-        )
 
     def geo_rem(last: float, before: float) -> float:
         if last <= 0.0 or before <= 0.0 or last >= before:

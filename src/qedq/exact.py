@@ -413,31 +413,35 @@ def solve_birth_death(
     return BirthDeathResult(pi, 0.0, True)
 
 
+def _queue_and_utilization(pi: np.ndarray, lo: int, s: int) -> tuple[float, float]:
+    """Mean number waiting and utilization of a law that is 0 below lo."""
+    k = np.arange(lo, len(pi))
+    return (float(np.sum(np.maximum(k - s, 0) * pi[lo:])),
+            float(np.sum(np.minimum(k, s) * pi[lo:])) / s)
+
+
 def mmsn_measures(model: QueueModel) -> StationaryMeasures:
     """Steady-state measures of the finite-capacity M/M/s/n queue.
 
     The state weights are closed forms: the Poisson(load) pmf up to s and
-    p(s) rho^(k-s) from s to n.  States below ``_state_floor`` are 0.0 in
-    double precision and are zero-filled, not computed.  The delay
-    probability counts admitted jobs only: by PASTA it equals
-    P(s <= Q < n) / (1 - P(Q = n)).
+    p(s) rho^(k-s) from s to n, built by ``_erlang_a_log_weights`` at
+    theta = 0.  States below ``_state_floor`` are 0.0 in double precision
+    and are zero-filled, not computed.  The delay probability counts
+    admitted jobs only: by PASTA it equals P(s <= Q < n) / (1 - P(Q = n)).
     """
     if model.n is None:
         raise DomainError("mmsn_measures expects a finite-buffer model")
     s, n = int(model.s), int(model.n)
     lo = _state_floor(model.load, s)
-    logw = _poisson_log_pmf(np.arange(lo, s + 1, dtype=float), model.load)
-    logw = np.concatenate([logw, logw[-1] + np.arange(1, n - s + 1) * math.log(model.rho)])
+    logw = _erlang_a_log_weights(model.lam, model.mu, 0.0, s, lo, n + 1)
     w = np.exp(logw - logw.max())
     pi = np.zeros(n + 1)
     pi[lo:] = w / w.sum()
     block = float(pi[n])
     admitted = 1.0 - block
     delay = float(pi[s:n].sum()) / admitted
-    k = np.arange(lo, n + 1)
-    mean_queue = float(np.sum(np.maximum(k - s, 0) * pi[lo:]))
+    mean_queue, util = _queue_and_utilization(pi, lo, s)
     mean_delay = mean_queue / (model.lam * admitted)
-    util = float(np.sum(np.minimum(k, s) * pi[lo:])) / s
     return StationaryMeasures(
         delay_prob=delay,
         mean_delay=mean_delay,
@@ -452,7 +456,7 @@ def mmsn_measures(model: QueueModel) -> StationaryMeasures:
 def _erlang_a_log_weights(lam: float, mu: float, theta: float, s: int,
                           lo: int, n: int) -> np.ndarray:
     """Log-weights of states lo..n-1 of M/M/s+M, up to a common constant;
-    lo <= s.
+    lo <= s.  At theta = 0 they are the M/M/s/n weights.
 
     For k <= s the weight is P(Pois(a) = k), a = lam/mu, from
     ``qedq.special``'s one Poisson pmf.  Beyond s it is
@@ -537,12 +541,10 @@ def erlang_a_measures(model: QueueModel, control: SeriesControl | None = None) -
     pi = np.zeros(lo + j + 2)
     pi[lo:] = w[:j + 2] / total
     tail_mass = rem[j] / total
-    k = np.arange(lo, len(pi))
-    mean_queue = float(np.sum(np.maximum(k - s, 0) * pi[lo:]))
+    mean_queue, util = _queue_and_utilization(pi, lo, s)
     abandon = theta * mean_queue / lam
     delay = float(pi[s:].sum())
     mean_delay = mean_queue / lam  # Little's law over the waiting room
-    util = float(np.sum(np.minimum(k, s) * pi[lo:])) / s
     return StationaryMeasures(
         delay_prob=delay,
         mean_delay=mean_delay,

@@ -86,6 +86,12 @@ def _mills(x: float) -> float:
     return _SQRT_HALF_PI * float(_sp.erfcx(-x / _SQRT2))
 
 
+def _delay_terms(beta: float) -> tuple[float, float]:
+    """g = 1/(1 + beta M) and g M, M = Phi/phi; g M is finite when M overflows."""
+    mills = _mills(beta)
+    return 1.0 / (1.0 + beta * mills), 1.0 / (1.0 / mills + beta)
+
+
 def qed_delay_prob(beta: float) -> float:
     """Limiting M/M/s delay probability under square-root capacity slack."""
     if not (beta > 0.0):
@@ -125,9 +131,7 @@ def delay_correction_coeff(beta: float) -> float:
     """
     if not (0.0 < beta < math.inf):
         raise DomainError("delay_correction_coeff requires finite beta > 0, got %r" % (beta,))
-    mills = _mills(beta)
-    g = 1.0 / (1.0 + beta * mills)
-    g_mills = 1.0 / (1.0 / mills + beta)  # g * mills, finite when mills overflows
+    g, g_mills = _delay_terms(beta)
     return g * g * (1.0 / 3.0 + beta * beta / 6.0) + g * g_mills * (beta / 2.0 + beta ** 3 / 6.0)
 
 

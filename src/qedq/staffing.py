@@ -20,7 +20,7 @@ from scipy import optimize as _opt
 
 from .errors import DomainError, InstabilityError
 from .exact import _erlang_c, erlang_c, erlang_c_real
-from .qed import _mills, delay_correction_coeff, qed_delay_prob
+from .qed import _delay_terms, delay_correction_coeff, qed_delay_prob
 from .special import normal_quantile, round_half_up
 
 __all__ = [
@@ -192,12 +192,10 @@ def _kstar_slope(beta: float, r: float) -> float:
     """K'(beta) = r + (beta g' - g) / beta^2 for K(beta) = r beta + g/beta.
 
     With M = Phi/phi, g = 1/(1 + beta M) and M' = 1 + beta M, so
-    g' = -(M + beta (1 + beta M)) g^2 = -g (g M + beta); g M is written
-    1/(1/M + beta), which stays finite when M overflows.
+    g' = -(M + beta (1 + beta M)) g^2 = -g (g M + beta).
     """
-    mills = _mills(beta)
-    g = 1.0 / (1.0 + beta * mills)
-    dg = -g * (1.0 / (1.0 / mills + beta) + beta)
+    g, g_mills = _delay_terms(beta)
+    dg = -g * (g_mills + beta)
     return r + (beta * dg - g) / (beta * beta)
 
 
@@ -233,42 +231,41 @@ def cost_qed(lam: float, r: float) -> StaffingSolution:
                             achieved=staffing_cost(s, lam, r))
 
 
-def _diff(f, x: float, h: float):
-    return (f(x + h) - f(x - h)) / (2.0 * h)
+def _refined_shift(beta: float, r: float) -> float:
+    """-beta G'(beta) / (K''(beta) + 2r) at beta = cost_beta_star(r)."""
+    g, q = _delay_terms(beta)
+    dg = -g * (q + beta)
+    dq = g * g + beta * g * q - q * q
+    d2g = -dg * (q + beta) - g * (dq + 1.0)
+    a, b = 1.0 / 3.0 + beta * beta / 6.0, beta / 2.0 + beta ** 3 / 6.0
+    c = g * g * a + g * q * b
+    dc = (2.0 * g * dg * a + g * g * beta / 3.0 + (dg * q + g * dq) * b
+          + g * q * (0.5 + beta * beta / 2.0))
+    curv = d2g / beta - 2.0 * dg / (beta * beta) + 2.0 * g / beta ** 3
+    return -(dc - c / beta) / (curv + 2.0 * r)  # beta G' = c' - c/beta
 
 
-def _diff2(f, x: float, h: float):
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-
-
-def refined_server_shift(r: float, h: float = 1e-5) -> float:
+def refined_server_shift(r: float) -> float:
     """O(1) server-count correction of the refined square-root cost rule.
 
-    Equals -beta* G'(beta*) / (K''(beta*) + 2r), with G the finite-size
-    cost correction delay_correction_coeff(beta)/beta and K the limiting
-    scaled cost.  Derivatives are central differences, cross-validated at
-    half step (the closed forms are long enough that transcription is the
-    bigger risk).
+    Equals -beta* G'(beta*) / (K''(beta*) + 2r), with G = c/beta,
+    c = delay_correction_coeff, and K = r beta + g/beta.  The derivatives
+    are closed forms in g = 1/(1 + beta M), M = Phi/phi, and q = g M:
+    g' = -g (q + beta), q' = g^2 + beta g q - q^2,
+    g'' = -g' (q + beta) - g (q' + 1); with c = g^2 A + g q B,
+    A = 1/3 + beta^2/6 and B = beta/2 + beta^3/6,
+    c' = 2 g g' A + g^2 beta/3 + (g' q + g q') B + g q (1/2 + beta^2/2),
+    G' = c'/beta - c/beta^2 and K'' = g''/beta - 2 g'/beta^2 + 2 g/beta^3.
+    A 45-digit mpmath test guards the transcription.
     """
-    beta = cost_beta_star(r)
-    corr = lambda b: delay_correction_coeff(b) / b
-    k = lambda b: _kstar(b, r)
-    d1 = _diff(corr, beta, h)
-    d1_check = _diff(corr, beta, h / 10.0)
-    if abs(d1 - d1_check) > 1e-4 * max(1.0, abs(d1_check)):
-        raise DomainError("refined-rule derivative failed step cross-validation")
-    d2 = _diff2(k, beta, h)
-    d2_check = _diff2(k, beta, h * 10.0)
-    if abs(d2 - d2_check) > 1e-4 * max(1.0, abs(d2_check)):
-        raise DomainError("refined-rule curvature failed step cross-validation")
-    return -beta * d1 / (d2 + 2.0 * r)
+    return _refined_shift(cost_beta_star(r), r)
 
 
 def cost_refined(lam: float, r: float) -> StaffingSolution:
     """Refined square-root cost rule: adds the O(1) server correction."""
     _check_load(lam)
     beta = cost_beta_star(r)
-    shift = refined_server_shift(r)
+    shift = _refined_shift(beta, r)
     s = round_half_up(lam + beta * math.sqrt(lam) + shift)
     if s <= lam:
         s = _min_stable(lam)

@@ -97,6 +97,15 @@ def test_staff_cost_all(capsys):
     assert any(l.startswith("refined") for l in out.splitlines())
 
 
+def test_staff_cost_all_expensive_capacity(capsys):
+    code, out, _ = run_cli(capsys, "staff", "--lambda", "100",
+                           "--cost-ratio", "2e4", "--rule", "all")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert [l.split()[0] for l in rows] == ["exact", "qed", "refined"]
+    assert all(l.split()[1] == "101" for l in rows)
+
+
 def test_table1_reproduction(capsys):
     code, out, _ = run_cli(capsys, "table1")
     assert code == 0

@@ -148,6 +148,32 @@ def test_cost_beta_star_vs_mpmath(r):
     assert cost_beta_star(r) == pytest.approx(float(ref), rel=1e-12)
 
 
+@pytest.mark.parametrize("r", [1e-12, 1e-4, 1e-2, 0.1, 1.0, 10.0, 1e3, 1e5, 1e8])
+def test_refined_server_shift_vs_mpmath(r):
+    # -beta* G'(beta*) / (K''(beta*) + 2r), differentiated numerically at 45 digits
+    def g(b):
+        pdf, cdf = mpmath.npdf(b), mpmath.ncdf(b)
+        return pdf / (pdf + b * cdf)
+
+    def corr(b):  # delay_correction_coeff(b) / b
+        mills = mpmath.ncdf(b) / mpmath.npdf(b)
+        return g(b) ** 2 * (mpmath.mpf(1) / 3 + b * b / 6 + mills * (b / 2 + b ** 3 / 6)) / b
+
+    with mpmath.workdps(45):
+        rr = mpmath.mpf(r)
+        k = lambda b: rr * b + g(b) / b
+        beta = mpmath.findroot(lambda b: mpmath.diff(k, b), mpmath.mpf(cost_beta_star(r)))
+        ref = -beta * mpmath.diff(corr, beta) / (mpmath.diff(k, beta, 2) + 2 * rr)
+    assert refined_server_shift(r) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [2e4, 1e6])
+def test_cost_refined_expensive_capacity(r):
+    # beta* is near zero here; the rule lands on the smallest stable count
+    sol = cost_refined(100.0, r)
+    assert sol.s == 101 == cost_exhaustive(100.0, r)
+
+
 def test_cost_beta_star_limits():
     # expensive capacity pushes the slack toward zero
     assert cost_beta_star(1000.0) < 0.05
